@@ -3,9 +3,11 @@
 // Every binary under bench/ regenerates one table or figure of the paper
 // (see DESIGN.md §4): it prints the same rows/series the figure plots and,
 // with --csv=<dir>, mirrors them to CSV for re-plotting. --quick shrinks
-// the simulated window for smoke runs.
+// the simulated window for smoke runs; --json=<file> is honoured by the
+// binaries that write a results/BENCH_*.json document.
 #pragma once
 
+#include <charconv>
 #include <iostream>
 #include <string>
 
@@ -15,7 +17,8 @@
 namespace nvmenc::bench {
 
 struct Options {
-  std::string csv_dir;  // empty = no CSV output
+  std::string csv_dir;    // empty = no CSV output
+  std::string json_path;  // empty = no JSON output
   bool quick = false;
   usize jobs = 0;  // matrix workers; 0 = one per hardware context
 };
@@ -26,11 +29,14 @@ inline Options parse_options(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--csv=", 0) == 0) {
       opt.csv_dir = arg.substr(6);
+    } else if (arg.rfind("--json=", 0) == 0) {
+      opt.json_path = arg.substr(7);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      try {
-        opt.jobs = std::stoul(arg.substr(7));
-      } catch (const std::exception&) {
-        std::cerr << "invalid --jobs value: " << arg.substr(7)
+      const std::string text = arg.substr(7);
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, opt.jobs);
+      if (ec != std::errc{} || ptr != end) {
+        std::cerr << "invalid --jobs value: " << text
                   << " (expected a number)\n";
         std::exit(2);
       }
@@ -38,7 +44,7 @@ inline Options parse_options(int argc, char** argv) {
       opt.quick = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv=<dir>] [--jobs=<n>]\n";
+                << " [--quick] [--csv=<dir>] [--json=<file>] [--jobs=<n>]\n";
       std::exit(0);
     } else {
       std::cerr << "unknown option: " << arg << "\n";

@@ -29,6 +29,8 @@
 // Deterministic: cells are independent (config, seed) simulations fanned
 // over a ThreadPool and collected in plan order — identical output for
 // any --jobs value.
+#include "bench_util.hpp"
+
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -36,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
 #include "memsys/aging.hpp"
 #include "memsys/encode_cost.hpp"
 #include "provenance.hpp"
@@ -46,37 +47,6 @@
 
 namespace nvmenc {
 namespace {
-
-struct Options {
-  std::string csv_dir;
-  std::string json_path;
-  bool quick = false;
-  usize jobs = 0;
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--csv=", 0) == 0) {
-      opt.csv_dir = arg.substr(6);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = arg.substr(7);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::stoul(arg.substr(7));
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv=<dir>] [--json=<file>] [--jobs=<n>]\n";
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      std::exit(2);
-    }
-  }
-  return opt;
-}
 
 /// One wear model under test. RAW is not a registry scheme (it is the
 /// rewrite-every-cell strawman the paper measures everything against), so
@@ -182,8 +152,8 @@ void write_lifetime_json(const std::string& path, const LoadGenConfig& load,
   if (!os) throw std::runtime_error{"failed writing " + path};
 }
 
-int run(const Options& opt) {
-  std::cout << "\n== lifetime sweep: writes to failure per scheme ==\n\n";
+int run(const bench::Options& opt) {
+  bench::banner("lifetime sweep: writes to failure per scheme");
 
   // Small hot geometry: a 256-line zipfian footprint concentrates wear so
   // run-to-failure terminates in simulable time; age_multiplier scales the
@@ -249,12 +219,7 @@ int run(const Options& opt) {
                        r.curve.empty() ? 1.0 : r.curve.back().capacity, 4),
                    aging_stop_name(r.stop)});
   }
-  table.print(std::cout);
-  if (!opt.csv_dir.empty()) {
-    const std::string path = opt.csv_dir + "/lifetime_sweep.csv";
-    table.write_csv_file(path);
-    std::cout << "[csv] " << path << "\n";
-  }
+  bench::emit(table, opt, "lifetime_sweep");
   if (!opt.json_path.empty()) {
     write_lifetime_json(opt.json_path, load, mem, aging, cells);
     std::cout << "[json] " << opt.json_path << "\n";
@@ -288,7 +253,7 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    return nvmenc::run(nvmenc::parse(argc, argv));
+    return nvmenc::run(nvmenc::bench::parse_options(argc, argv));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -3,27 +3,34 @@
 // The paper synthesizes the READ+SAE encoder at 3.47 ns and argues the
 // performance impact is negligible because reads dominate system
 // performance and decode is nearly free. This bench replays each
-// benchmark's interleaved request stream through the banked timing model
-// with the encode latency swept from 0 to an exaggerated 200 ns, and
-// reports execution-time overhead and average read latency — validating
-// (or bounding) the claim quantitatively.
+// benchmark's interleaved request stream through the memory system (one
+// blocking CPU, run_request_stream) with the encode latency swept from 0
+// to an exaggerated 200 ns, and reports execution-time overhead and mean
+// read latency. It exits 1 if the paper's 3.47 ns costs 1% or more of
+// execution time on any benchmark, so the claim is checked, not just
+// printed.
 #include "bench_util.hpp"
 
-#include "sim/perf.hpp"
+#include <algorithm>
+
+#include "memsys/loadgen.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmenc {
 namespace {
+
+constexpr double kPaperEncodeNs = 3.47;
+constexpr double kNeutralBound = 0.01;  ///< "negligible" means under 1%
 
 int run(const bench::Options& opt) {
   bench::banner("Section 3.4.2: performance overhead of encode latency");
   ExperimentConfig cfg = bench::figure_config(opt);
   cfg.collector.record_requests = true;
 
-  const double latencies[] = {0.0, 3.47, 10.0, 50.0, 200.0};
-  TextTable table{{"benchmark", "requests", "row hit", "t(0ns)",
-                   "+3.47ns", "+10ns", "+50ns", "+200ns",
-                   "read lat (3.47ns)", "read lat (sched)"}};
+  const double latencies[] = {0.0, kPaperEncodeNs, 10.0, 50.0, 200.0};
+  TextTable table{{"benchmark", "requests", "row hit", "t(0ns)", "+3.47ns",
+                   "+10ns", "+50ns", "+200ns", "read lat (3.47ns)"}};
+  double worst_paper = 0.0;
   for (const std::string name : {"bwaves", "sjeng", "gcc", "xalancbmk"}) {
     SyntheticWorkload workload{profile_by_name(name), cfg.seed};
     const WritebackTrace trace = collect_writebacks(workload, cfg.collector);
@@ -32,42 +39,44 @@ int run(const bench::Options& opt) {
                                  std::to_string(trace.requests.size())};
     double base_ns = 0.0;
     double base_hit = 0.0;
-    double lat_347 = 0.0;
+    double lat_paper = 0.0;
     std::vector<std::string> overheads;
     for (const double enc_ns : latencies) {
-      PerfConfig pc;
-      pc.org.encode_latency_ns = enc_ns;
-      const PerfResult r = run_timing(trace.requests, pc);
+      MemSysConfig mem;
+      mem.org.encode_latency_ns = enc_ns;
+      const LoadResult r = run_request_stream(trace.requests, mem);
       if (enc_ns == 0.0) {
-        base_ns = r.total_ns;
+        base_ns = r.makespan_ns;
         base_hit = r.timing.row_hit_rate();
         overheads.push_back(TextTable::fmt(base_ns / 1e6, 2) + "ms");
-      } else {
-        overheads.push_back(
-            TextTable::fmt_pct(r.total_ns / base_ns - 1.0, 2));
+        continue;
       }
-      if (enc_ns == 3.47) lat_347 = r.avg_read_latency_ns();
+      const double overhead = r.makespan_ns / base_ns - 1.0;
+      overheads.push_back(TextTable::fmt_pct(overhead, 2));
+      if (enc_ns == kPaperEncodeNs) {
+        lat_paper = r.stats.read_latency_stat.mean();
+        worst_paper = std::max(worst_paper, overhead);
+      }
     }
-    // Same stream with the write-queue scheduler (reads prioritized).
-    PerfConfig sched;
-    sched.org.encode_latency_ns = 3.47;
-    sched.use_write_queue = true;
-    const PerfResult scheduled = run_timing(trace.requests, sched);
-
     row.push_back(TextTable::fmt(base_hit, 3));
     for (std::string& s : overheads) row.push_back(std::move(s));
-    row.push_back(TextTable::fmt(lat_347, 1) + "ns");
-    row.push_back(TextTable::fmt(scheduled.avg_read_latency_ns(), 1) +
-                  "ns");
+    row.push_back(TextTable::fmt(lat_paper, 1) + "ns");
     table.add_row(std::move(row));
   }
   bench::emit(table, opt, "perf_overhead");
   std::cout << "\npaper claim: 3.47 ns encode latency has negligible "
-               "performance impact (reads dominate; decode is free). The "
-               "scheduled column routes writes through a 64-entry write "
-               "queue: rewrites coalesce and hot reads forward, but the "
-               "synchronous high-watermark drains add read-tail stalls — "
-               "the classic write-drain trade-off.\n";
+               "performance impact (reads dominate; decode is free). Writes "
+               "are posted into a 64-entry FR-FCFS write queue per channel "
+               "and drain in the background, so the encode rides on array "
+               "writes that demand reads rarely wait for.\n";
+  if (worst_paper >= kNeutralBound) {
+    std::cerr << "FAIL: the 3.47 ns encode costs "
+              << TextTable::fmt_pct(worst_paper, 2)
+              << " execution time on some benchmark (bound: under 1%)\n";
+    return 1;
+  }
+  std::cout << "\n3.47 ns encode is performance-neutral: worst overhead "
+            << TextTable::fmt_pct(worst_paper, 2) << " (bound: under 1%)\n";
   return 0;
 }
 

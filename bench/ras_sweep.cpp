@@ -16,6 +16,8 @@
 // Deterministic: cells are independent (config, seed) simulations fanned
 // over a ThreadPool and collected in plan order — identical output for
 // any --jobs value.
+#include "bench_util.hpp"
+
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -23,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
 #include "memsys/encode_cost.hpp"
 #include "memsys/loadgen.hpp"
 #include "provenance.hpp"
@@ -33,37 +34,6 @@
 
 namespace nvmenc {
 namespace {
-
-struct Options {
-  std::string csv_dir;
-  std::string json_path;
-  bool quick = false;
-  usize jobs = 0;
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--csv=", 0) == 0) {
-      opt.csv_dir = arg.substr(6);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = arg.substr(7);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::stoul(arg.substr(7));
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv=<dir>] [--json=<file>] [--jobs=<n>]\n";
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      std::exit(2);
-    }
-  }
-  return opt;
-}
 
 struct SchemePoint {
   Scheme scheme = Scheme::kDcw;
@@ -173,8 +143,8 @@ void write_ras_json(const std::string& path, const LoadGenConfig& load,
   if (!os) throw std::runtime_error{"failed writing " + path};
 }
 
-int run(const Options& opt) {
-  std::cout << "\n== ras sweep: fault rate vs read tail and throughput ==\n\n";
+int run(const bench::Options& opt) {
+  bench::banner("ras sweep: fault rate vs read tail and throughput");
 
   LoadGenConfig load;
   load.pattern = LoadPattern::kZipfian;
@@ -244,12 +214,7 @@ int run(const Options& opt) {
                    std::to_string(r.uncorrectable()),
                    std::to_string(r.degraded)});
   }
-  table.print(std::cout);
-  if (!opt.csv_dir.empty()) {
-    const std::string path = opt.csv_dir + "/ras_sweep.csv";
-    table.write_csv_file(path);
-    std::cout << "[csv] " << path << "\n";
-  }
+  bench::emit(table, opt, "ras_sweep");
   if (!opt.json_path.empty()) {
     write_ras_json(opt.json_path, load, mem, cells);
     std::cout << "[json] " << opt.json_path << "\n";
@@ -262,7 +227,7 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    return nvmenc::run(nvmenc::parse(argc, argv));
+    return nvmenc::run(nvmenc::bench::parse_options(argc, argv));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

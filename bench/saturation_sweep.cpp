@@ -12,6 +12,8 @@
 //
 // Deterministic: identical output for any --jobs value (cells are
 // independent seeded simulations; parallelism is across cells only).
+#include "bench_util.hpp"
+
 #include <iostream>
 #include <string>
 
@@ -21,39 +23,8 @@
 namespace nvmenc {
 namespace {
 
-struct Options {
-  std::string csv_dir;
-  std::string json_path;
-  bool quick = false;
-  usize jobs = 0;
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--csv=", 0) == 0) {
-      opt.csv_dir = arg.substr(6);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = arg.substr(7);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::stoul(arg.substr(7));
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv=<dir>] [--json=<file>] [--jobs=<n>]\n";
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
-int run(const Options& opt) {
-  std::cout << "\n== saturation sweep: load vs read-latency tail ==\n\n";
+int run(const bench::Options& opt) {
+  bench::banner("saturation sweep: load vs read-latency tail");
 
   SweepConfig cfg;
   cfg.load.pattern = LoadPattern::kZipfian;
@@ -73,12 +44,7 @@ int run(const Options& opt) {
 
   const std::vector<SweepCell> cells = run_saturation_sweep(cfg);
   const TextTable table = sweep_table(cells);
-  table.print(std::cout);
-  if (!opt.csv_dir.empty()) {
-    const std::string path = opt.csv_dir + "/saturation_sweep.csv";
-    table.write_csv_file(path);
-    std::cout << "[csv] " << path << "\n";
-  }
+  bench::emit(table, opt, "saturation_sweep");
   if (!opt.json_path.empty()) {
     write_sweep_json(opt.json_path, cfg, cells,
                      provenance_json(cfg.load.seed));
@@ -92,7 +58,7 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    return nvmenc::run(nvmenc::parse(argc, argv));
+    return nvmenc::run(nvmenc::bench::parse_options(argc, argv));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

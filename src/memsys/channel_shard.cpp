@@ -59,7 +59,7 @@ void ChannelShard::accept_write(u64 ticket, u64 line_addr, double arrival,
     ++stats_.coalesced_writes;
   } else {
     writes_.push_back(
-        {line_addr, accept_time, timing_.decompose(line_addr)});
+        {line_addr, accept_time, decompose(timing_.org(), line_addr)});
     queued_lines_.insert(line_addr);
     if (!draining_ && writes_.size() >= high_watermark_) {
       draining_ = true;
@@ -80,7 +80,8 @@ void ChannelShard::maybe_arm_scrub(double now) {
     return;
   }
   if (const auto line = ras_->next_scrub_target()) {
-    scrub_.emplace(PendingScrub{*line, now, timing_.decompose(*line)});
+    scrub_.emplace(
+        PendingScrub{*line, now, decompose(timing_.org(), *line)});
   }
   next_scrub_at_ = now + ras_->config().scrub_interval_ns;
 }
@@ -111,8 +112,8 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       // backs off, so overload surfaces in the survivors' tail latency.
       const double penalty = ras_->on_remap_in(now_ns);
       if (penalty > 0.0) {
-        const BankAddress where = timing_.decompose(line_addr);
-        timing_.occupy_bank(channel_, where.bank, now_ns, penalty);
+        const BankAddress where = decompose(timing_.org(), line_addr);
+        timing_.occupy_bank(where.bank, now_ns, penalty);
         ras_->add_busy(penalty);
       }
     }
@@ -126,8 +127,8 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       stats_.read_latency_stat.add(forward_ns_);
       push_completion({ticket, now_ns + forward_ns_, ReqKind::kRead, true});
     } else {
-      reads_.push_back(
-          {ticket, line_addr, now_ns, timing_.decompose(line_addr)});
+      reads_.push_back({ticket, line_addr, now_ns,
+                        decompose(timing_.org(), line_addr)});
     }
   } else {
     if (queued_lines_.contains(line_addr) ||
@@ -148,9 +149,9 @@ void ChannelShard::charge_wl_migrations(const std::vector<u64>& dests,
     // One migration = read the source, write the destination: the copy
     // holds the destination's bank, burns energy, and wears the
     // destination's cells (half a line of flips against unrelated data).
-    const BankAddress where = timing_.decompose(dest);
+    const BankAddress where = decompose(timing_.org(), dest);
     const double copy = timing_.org().t_read_ns + timing_.org().t_write_ns;
-    timing_.occupy_bank(channel_, where.bank, now_ns, copy);
+    timing_.occupy_bank(where.bank, now_ns, copy);
     wl_busy_ns_ += copy;
     wl_energy_pj_ += ras_->config().lifetime.wl_migrate_pj;
     const FaultDomain::MigrateOutcome out =
@@ -161,7 +162,7 @@ void ChannelShard::charge_wl_migrations(const std::vector<u64>& dests,
       extra += timing_.org().t_read_ns + timing_.org().t_write_ns;
     }
     if (extra > 0.0) {
-      timing_.occupy_bank(channel_, where.bank, now_ns, extra);
+      timing_.occupy_bank(where.bank, now_ns, extra);
       ras_->add_busy(extra);
     }
   }
@@ -198,17 +199,13 @@ double ChannelShard::wake() const {
   if (!drain_mode) {
     for (const PendingRead& r : reads_) {
       wake = std::min(
-          wake, std::max(r.arrival,
-                         timing_.bank_free_at(r.where.channel,
-                                              r.where.bank)));
+          wake, std::max(r.arrival, timing_.bank_free_at(r.where.bank)));
     }
   }
   if (write_mode) {
     for (const QueuedWrite& w : writes_) {
       wake = std::min(
-          wake, std::max(w.arrival,
-                         timing_.bank_free_at(w.where.channel,
-                                              w.where.bank)));
+          wake, std::max(w.arrival, timing_.bank_free_at(w.where.bank)));
     }
   }
   if (scrub_.has_value()) {
@@ -217,7 +214,7 @@ double ChannelShard::wake() const {
     // under the existing FR-FCFS discipline.
     wake = std::min(
         wake, std::max(scrub_->arrival,
-                       timing_.bank_free_at(channel_, scrub_->where.bank)));
+                       timing_.bank_free_at(scrub_->where.bank)));
   }
   if (wake == kInf) return kInf;
   return std::max(wake, slot_free_at_);
@@ -231,7 +228,7 @@ void ChannelShard::arbitrate(double now) {
   const bool issued = write_mode ? issue_write(now) : issue_read(now);
   if (issued) return;
   if (scrub_.has_value() && scrub_->arrival <= now &&
-      timing_.bank_free_at(channel_, scrub_->where.bank) <= now) {
+      timing_.bank_free_at(scrub_->where.bank) <= now) {
     issue_scrub(now);
     return;
   }
@@ -245,10 +242,10 @@ bool ChannelShard::issue_read(double now) {
   for (usize i = 0; i < reads_.size(); ++i) {
     const PendingRead& r = reads_[i];
     if (r.arrival > now) continue;
-    if (timing_.bank_free_at(r.where.channel, r.where.bank) > now) continue;
+    if (timing_.bank_free_at(r.where.bank) > now) continue;
     if (oldest == kNone) oldest = i;
     if (row_hit == kNone &&
-        timing_.row_open(r.where.channel, r.where.bank, r.where.row)) {
+        timing_.row_open(r.where.bank, r.where.row)) {
       row_hit = i;
     }
   }
@@ -270,7 +267,7 @@ bool ChannelShard::issue_read(double now) {
       // holding the bank), so the UE lands squarely in the read tail.
       const double recovery =
           timing_.org().t_read_ns + timing_.org().t_write_ns;
-      timing_.occupy_bank(channel_, r.where.bank, done, recovery);
+      timing_.occupy_bank(r.where.bank, done, recovery);
       ras_->add_busy(recovery);
       done += recovery;
     }
@@ -289,10 +286,10 @@ bool ChannelShard::issue_write(double now) {
   for (usize i = 0; i < writes_.size(); ++i) {
     const QueuedWrite& w = writes_[i];
     if (w.arrival > now) continue;
-    if (timing_.bank_free_at(w.where.channel, w.where.bank) > now) continue;
+    if (timing_.bank_free_at(w.where.bank) > now) continue;
     if (oldest == kNone) oldest = i;
     if (row_hit == kNone &&
-        timing_.row_open(w.where.channel, w.where.bank, w.where.row)) {
+        timing_.row_open(w.where.bank, w.where.row)) {
       row_hit = i;
       break;  // row hits beat age for background writes
     }
@@ -321,7 +318,7 @@ bool ChannelShard::issue_write(double now) {
     if (out.remapped) extra += tw;
     if (out.retired) extra += timing_.org().t_read_ns + tw;
     if (extra > 0.0) {
-      timing_.occupy_bank(channel_, w.where.bank, done, extra);
+      timing_.occupy_bank(w.where.bank, done, extra);
       ras_->add_busy(extra);
       done += extra;
     }
@@ -359,7 +356,7 @@ void ChannelShard::issue_scrub(double now) {
   }
   if (out.remapped) extra += timing_.org().t_write_ns;
   if (extra > 0.0) {
-    timing_.occupy_bank(channel_, s.where.bank, done, extra);
+    timing_.occupy_bank(s.where.bank, done, extra);
     ras_->add_busy(extra);
   }
   slot_free_at_ = now + t_cmd_ns_;

@@ -184,10 +184,6 @@ class ChannelShard {
                     double accept_time);
   void push_completion(const MemSysCompletion& completion);
 
-  // Shard-owned timing: a full MemoryTimingModel (the exact arithmetic
-  // the serial system always used) of which only this shard's channel is
-  // ever exercised, so its TimingStats are precisely this channel's
-  // contribution.
   usize channel_ = 0;
   usize write_queue_capacity_ = 0;
   usize high_watermark_ = 0;
@@ -196,7 +192,7 @@ class ChannelShard {
   double forward_ns_ = 0.0;
   double starvation_cap_ns_ = 0.0;
   bool opportunistic_writes_ = true;
-  MemoryTimingModel timing_;
+  MemoryTimingModel timing_;  ///< this channel's banks and bus
 
   std::vector<PendingRead> reads_;   ///< arrival order; erase keeps it
   std::vector<QueuedWrite> writes_;  ///< bounded by write_queue_capacity

@@ -181,6 +181,29 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
   return result;
 }
 
+LoadResult run_request_stream(const std::vector<MemRequest>& requests,
+                              const MemSysConfig& mem) {
+  MemorySystem sys{mem};
+  double cpu_time = 0.0;
+  for (const MemRequest& req : requests) {
+    cpu_time += kCpuGapNs;
+    const u64 ticket =
+        sys.submit(req.line_addr,
+                   req.is_write ? ReqKind::kWrite : ReqKind::kRead, cpu_time);
+    // Every earlier request already completed, so the next completion is
+    // this one: data returned (read) or line accepted (write).
+    const auto comp = sys.step_until(kInf);
+    ensure(comp.has_value() && comp->ticket == ticket,
+           "request stream lost its completion");
+    cpu_time = comp->time_ns;
+  }
+  LoadResult result;
+  result.makespan_ns = std::max(cpu_time, sys.drain_all());
+  result.stats = sys.stats();
+  result.timing = sys.timing_stats();
+  return result;
+}
+
 LoadResult run_load_sharded(const LoadGenConfig& load,
                             const MemSysConfig& mem, usize jobs) {
   load.validate();

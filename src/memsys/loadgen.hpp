@@ -17,9 +17,11 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "memsys/memory_system.hpp"
+#include "sim/collector.hpp"
 
 namespace nvmenc {
 
@@ -89,6 +91,20 @@ struct LoadResult {
 /// drained) and returns the collected statistics.
 [[nodiscard]] LoadResult run_load(const LoadGenConfig& load,
                                   const MemSysConfig& mem);
+
+/// On-chip time a CPU spends between consecutive memory requests (cache
+/// hits and computation) in run_request_stream.
+inline constexpr double kCpuGapNs = 20.0;
+
+/// Single-CPU closed loop over a recorded request stream (the model
+/// behind `nvmenc perf` and bench/perf_overhead, which check the paper's
+/// §3.4.2 claim that a 3.47 ns encode is performance-neutral). The CPU
+/// spends kCpuGapNs before each request, in order. A read blocks it until
+/// the data returns; a write blocks it only until the write queue accepts
+/// the line, so a write parked on a full queue stalls the CPU.
+/// `makespan_ns` is the later of the CPU's finish and the final drain.
+[[nodiscard]] LoadResult run_request_stream(
+    const std::vector<MemRequest>& requests, const MemSysConfig& mem);
 
 /// Channel-sharded closed loop: user u is pinned to channel u % channels
 /// (its addresses are remapped into that channel's row groups, keeping

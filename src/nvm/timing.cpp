@@ -6,8 +6,7 @@ namespace nvmenc {
 
 MemoryTimingModel::MemoryTimingModel(MemOrg org) : org_{org} {
   org_.validate();
-  banks_.resize(org_.channels * org_.ranks * org_.banks);
-  bus_free_at_.resize(org_.channels, 0.0);
+  banks_.resize(org_.ranks * org_.banks);
 }
 
 void TimingStats::merge(const TimingStats& other) noexcept {
@@ -21,22 +20,10 @@ void TimingStats::merge(const TimingStats& other) noexcept {
   write_latency_hist.merge(other.write_latency_hist);
 }
 
-BankAddress MemoryTimingModel::decompose(u64 line_addr) const noexcept {
-  const u64 row_id = line_addr / org_.row_bytes;
-  BankAddress addr;
-  addr.channel = channel_of_line(org_, line_addr);
-  const u64 above_channel = row_id / org_.channels;
-  const usize banks_per_channel = org_.ranks * org_.banks;
-  addr.bank = static_cast<usize>(above_channel % banks_per_channel);
-  addr.row = above_channel / banks_per_channel;
-  return addr;
-}
-
 double MemoryTimingModel::access(u64 line_addr, MemOp op,
                                  double arrival_ns) {
-  const BankAddress where = decompose(line_addr);
-  BankState& bank =
-      banks_[where.channel * org_.ranks * org_.banks + where.bank];
+  const BankAddress where = decompose(org_, line_addr);
+  BankState& bank = banks_[where.bank];
 
   // The request starts when both it has arrived and the bank is free.
   double start = std::max(arrival_ns, bank.free_at);
@@ -58,11 +45,10 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
   }
 
   // The line transfer needs the channel bus; serialize on it.
-  double& bus = bus_free_at_[where.channel];
   const double array_done = start + service;
-  const double bus_start = std::max(array_done, bus);
+  const double bus_start = std::max(array_done, bus_free_at_);
   const double completion = bus_start + org_.t_bus_ns;
-  bus = completion;
+  bus_free_at_ = completion;
   bank.free_at = completion;
 
   const double latency = completion - arrival_ns;
@@ -78,24 +64,25 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
   return completion;
 }
 
-double MemoryTimingModel::bank_free_at(usize channel, usize bank) const {
-  require(channel < org_.channels && bank < org_.ranks * org_.banks,
-          "bank index out of range");
-  return banks_[channel * org_.ranks * org_.banks + bank].free_at;
+const MemoryTimingModel::BankState& MemoryTimingModel::bank_at(
+    usize bank) const {
+  require(bank < banks_.size(), "bank index out of range");
+  return banks_[bank];
 }
 
-void MemoryTimingModel::occupy_bank(usize channel, usize bank,
-                                    double from_ns, double extra_ns) {
-  require(channel < org_.channels && bank < org_.ranks * org_.banks,
-          "bank index out of range");
-  BankState& state = banks_[channel * org_.ranks * org_.banks + bank];
+double MemoryTimingModel::bank_free_at(usize bank) const {
+  return bank_at(bank).free_at;
+}
+
+void MemoryTimingModel::occupy_bank(usize bank, double from_ns,
+                                    double extra_ns) {
+  require(bank < banks_.size(), "bank index out of range");
+  BankState& state = banks_[bank];
   state.free_at = std::max(state.free_at, from_ns) + extra_ns;
 }
 
-bool MemoryTimingModel::row_open(usize channel, usize bank, u64 row) const {
-  require(channel < org_.channels && bank < org_.ranks * org_.banks,
-          "bank index out of range");
-  const BankState& state = banks_[channel * org_.ranks * org_.banks + bank];
+bool MemoryTimingModel::row_open(usize bank, u64 row) const {
+  const BankState& state = bank_at(bank);
   return state.row_valid && state.open_row == row;
 }
 

@@ -4,9 +4,10 @@
 // Section 3.4.2 argues the 3.47 ns encode latency is negligible because
 // system performance is read-dominated. This model makes that claim
 // checkable: a channel/rank/bank decomposition with per-bank row buffers,
-// bank occupancy, and a shared data bus. Requests are serviced in arrival
-// order per bank (FCFS), reads block the CPU, writes drain in the
-// background from the controller's write queue.
+// bank occupancy, and a shared data bus. One MemoryTimingModel is one
+// channel — its ranks*banks banks and its bus — owned by the ChannelShard
+// that arbitrates it (memsys/channel_shard.hpp), the way a real
+// controller keeps each channel's availability times to itself.
 //
 // The model is deliberately event-light: one completion time per request,
 // no command-level DDR protocol — enough to expose queueing and row
@@ -50,11 +51,21 @@ struct BankAddress {
 };
 
 /// Channel a line maps to — the first step of decompose(), exposed
-/// separately so sharded drivers can route requests without a timing
-/// model. Must agree with MemoryTimingModel::decompose (tested).
+/// separately so drivers can route requests without decomposing further.
 [[nodiscard]] inline usize channel_of_line(const MemOrg& org,
                                            u64 line_addr) noexcept {
   return static_cast<usize>((line_addr / org.row_bytes) % org.channels);
+}
+
+/// Line address -> channel/bank/row. Consecutive lines fill a row, rows
+/// interleave across channels then banks (row-interleaved mapping).
+[[nodiscard]] inline BankAddress decompose(const MemOrg& org,
+                                           u64 line_addr) noexcept {
+  const u64 above_channel = line_addr / org.row_bytes / org.channels;
+  const usize banks_per_channel = org.ranks * org.banks;
+  return {channel_of_line(org, line_addr),
+          static_cast<usize>(above_channel % banks_per_channel),
+          above_channel / banks_per_channel};
 }
 
 /// Remaps a line address into `channel`'s row group, preserving the
@@ -97,28 +108,26 @@ struct TimingStats {
   [[nodiscard]] bool operator==(const TimingStats&) const = default;
 };
 
+/// One channel's banks and bus. Bank indices are flattened rank*banks +
+/// bank, as in BankAddress::bank.
 class MemoryTimingModel {
  public:
   explicit MemoryTimingModel(MemOrg org);
 
-  /// Line address -> bank/row decomposition. Consecutive lines fill a row,
-  /// rows interleave across banks then channels (row-interleaved mapping).
-  [[nodiscard]] BankAddress decompose(u64 line_addr) const noexcept;
-
-  /// Services one request arriving at `arrival_ns`; returns its completion
-  /// time. Reads are prioritized only in the sense that the caller issues
-  /// them at CPU time; each bank is FCFS.
+  /// Services one request to this channel arriving at `arrival_ns`;
+  /// returns its completion time. The caller decides issue order (the
+  /// shard's FR-FCFS arbiter); each bank serves what it is given FCFS.
   double access(u64 line_addr, MemOp op, double arrival_ns);
 
   [[nodiscard]] const TimingStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const MemOrg& org() const noexcept { return org_; }
 
-  /// Earliest time the named bank is free (for tests and schedulers).
-  [[nodiscard]] double bank_free_at(usize channel, usize bank) const;
+  /// Earliest time the bank is free.
+  [[nodiscard]] double bank_free_at(usize bank) const;
 
   /// True when the bank's row buffer currently holds `row` — the FR-FCFS
   /// row-hit test an external arbiter needs to prefer open-row requests.
-  [[nodiscard]] bool row_open(usize channel, usize bank, u64 row) const;
+  [[nodiscard]] bool row_open(usize bank, u64 row) const;
 
   /// Holds the bank busy for `extra_ns` beyond max(free_at, from_ns):
   /// the RAS layer's hook for charging recovery work (program-and-verify
@@ -126,8 +135,7 @@ class MemoryTimingModel {
   /// The occupancy delays every later request on the bank — exactly how
   /// faulty media surfaces in the read tail — without touching the bus or
   /// the latency statistics of the access that triggered it.
-  void occupy_bank(usize channel, usize bank, double from_ns,
-                   double extra_ns);
+  void occupy_bank(usize bank, double from_ns, double extra_ns);
 
  private:
   struct BankState {
@@ -136,9 +144,11 @@ class MemoryTimingModel {
     bool row_valid = false;
   };
 
+  [[nodiscard]] const BankState& bank_at(usize bank) const;
+
   MemOrg org_;
-  std::vector<BankState> banks_;    // channel-major
-  std::vector<double> bus_free_at_; // per channel
+  std::vector<BankState> banks_;
+  double bus_free_at_ = 0.0;
   TimingStats stats_;
 };
 

@@ -38,7 +38,7 @@ struct WritebackTrace {
   u64 demand_reads = 0;
   /// Interleaved request order of the measured window (reads and
   /// write-backs), populated when CollectorConfig::record_requests is
-  /// set. Drives the MemoryTimingModel.
+  /// set. Drives run_request_stream (memsys/loadgen.hpp).
   std::vector<MemRequest> requests;
   /// Pristine contents of any line (forwarded from the workload).
   std::function<CacheLine(u64)> initial_line;

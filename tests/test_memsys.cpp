@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "memsys/encode_cost.hpp"
@@ -21,9 +22,23 @@ MemSysConfig small_config() {
   return c;
 }
 
+/// Without opportunistic writes a line stays queued until a watermark
+/// drain or drain_all.
+MemSysConfig quiet_config() {
+  MemSysConfig c = small_config();
+  c.opportunistic_writes = false;
+  return c;
+}
+
 /// Steps until the next completion with an effectively unbounded horizon.
 std::optional<MemSysCompletion> step(MemorySystem& sys) {
   return sys.step_until(1e18);
+}
+
+/// Delivers every pending completion; returns the latest completion time.
+double settle(MemorySystem& sys, double t) {
+  while (const auto comp = step(sys)) t = std::max(t, comp->time_ns);
+  return t;
 }
 
 TEST(MemSysConfig, Validation) {
@@ -79,9 +94,7 @@ TEST(MemorySystem, WriteIsPostedImmediately) {
 }
 
 TEST(MemorySystem, ReadAroundWriteForwards) {
-  MemSysConfig c = small_config();
-  c.opportunistic_writes = false;  // keep the write queued
-  MemorySystem sys{c};
+  MemorySystem sys{quiet_config()};  // keeps the write queued
   sys.submit(0x40, ReqKind::kWrite, 0.0);
   (void)sys.step_until(0.0);  // write acceptance
   sys.submit(0x40, ReqKind::kRead, 1.0);
@@ -93,9 +106,7 @@ TEST(MemorySystem, ReadAroundWriteForwards) {
 }
 
 TEST(MemorySystem, RewritesCoalesce) {
-  MemSysConfig c = small_config();
-  c.opportunistic_writes = false;
-  MemorySystem sys{c};
+  MemorySystem sys{quiet_config()};
   sys.submit(0x40, ReqKind::kWrite, 0.0);
   sys.submit(0x40, ReqKind::kWrite, 1.0);
   sys.submit(0x40, ReqKind::kWrite, 2.0);
@@ -107,8 +118,7 @@ TEST(MemorySystem, RewritesCoalesce) {
 }
 
 TEST(MemorySystem, WatermarkEntersAndLeavesDrainMode) {
-  MemSysConfig c = small_config();
-  c.opportunistic_writes = false;  // drain only via the watermark
+  const MemSysConfig c = quiet_config();  // drain only via the watermark
   MemorySystem sys{c};
   // All writes land on channel 0 (same row id space, distinct lines).
   for (u64 i = 0; i < 5; ++i) {
@@ -121,15 +131,13 @@ TEST(MemorySystem, WatermarkEntersAndLeavesDrainMode) {
   sys.submit(5 * kLineBytes, ReqKind::kWrite, 0.0);  // depth 6 == high
   EXPECT_EQ(sys.stats().drains, 1u);
   // Arbitration drains down to the low watermark, then stops.
-  while (step(sys).has_value()) {
-  }
+  (void)settle(sys, 0.0);
   EXPECT_EQ(sys.write_queue_depth(0), c.low_watermark);
   EXPECT_EQ(sys.stats().array_writes, 4u);
 }
 
 TEST(MemorySystem, HighEqualsCapacityLowZeroDrainsDry) {
-  MemSysConfig c = small_config();
-  c.opportunistic_writes = false;
+  MemSysConfig c = quiet_config();
   c.write_queue_capacity = 4;
   c.high_watermark = 4;  // edge: only a full queue triggers the drain
   c.low_watermark = 0;   // edge: the drain runs the queue dry
@@ -138,15 +146,13 @@ TEST(MemorySystem, HighEqualsCapacityLowZeroDrainsDry) {
     sys.submit(i * kLineBytes, ReqKind::kWrite, 0.0);
   }
   EXPECT_EQ(sys.stats().drains, 1u);
-  while (step(sys).has_value()) {
-  }
+  (void)settle(sys, 0.0);
   EXPECT_EQ(sys.write_queue_depth(0), 0u);
   EXPECT_EQ(sys.stats().array_writes, 4u);
 }
 
 TEST(MemorySystem, FullQueueParksWritesUntilDrain) {
-  MemSysConfig c = small_config();
-  c.opportunistic_writes = false;
+  MemSysConfig c = quiet_config();
   c.write_queue_capacity = 2;
   c.high_watermark = 2;
   c.low_watermark = 0;
@@ -195,6 +201,197 @@ TEST(MemorySystem, ReadsHavePriorityOverQueuedWrites) {
   // Served first: cold-row read latency, no 150 ns write ahead of it.
   EXPECT_DOUBLE_EQ(read_comp->time_ns,
                    org.t_row_cycle_ns + org.t_read_ns + org.t_bus_ns);
+}
+
+// Write-queue scheduling inside the channel shards: posted writes,
+// read-around-write forwarding, rewrite coalescing and watermark drains.
+TEST(Scheduler, ConfigValidation) {
+  MemSysConfig c = small_config();
+  c.write_queue_capacity = 0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c = small_config();
+  c.low_watermark = 7;  // > high
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c = small_config();
+  c.forward_ns = -1.0;
+  EXPECT_THROW((MemorySystem{c}), std::invalid_argument);
+}
+
+TEST(Scheduler, WritesArePostedUntilWatermark) {
+  MemorySystem sys{quiet_config()};
+  for (u64 i = 0; i < 5; ++i) {
+    sys.submit(i * kLineBytes, ReqKind::kWrite, 1.0);
+    const auto comp = sys.step_until(1.0);
+    ASSERT_TRUE(comp.has_value());
+    EXPECT_DOUBLE_EQ(comp->time_ns, 1.0);  // accepted on arrival
+  }
+  EXPECT_EQ(sys.stats().drains, 0u);
+  EXPECT_EQ(sys.timing_stats().writes, 0u);  // nothing hit the array yet
+  sys.submit(5 * kLineBytes, ReqKind::kWrite, 1.0);  // reaches the high mark
+  EXPECT_EQ(sys.stats().drains, 1u);
+}
+
+TEST(Scheduler, ReadForwardsFromQueue) {
+  MemSysConfig c = quiet_config();
+  c.forward_ns = 2.0;
+  MemorySystem sys{c};
+  sys.submit(0x40, ReqKind::kWrite, 0.0);
+  (void)sys.step_until(0.0);
+  sys.submit(0x40, ReqKind::kRead, 5.0);
+  const auto comp = step(sys);
+  ASSERT_TRUE(comp.has_value());
+  EXPECT_DOUBLE_EQ(comp->time_ns, 7.0);  // on-chip forward
+  EXPECT_EQ(sys.stats().forwarded_reads, 1u);
+  EXPECT_EQ(sys.timing_stats().reads, 0u);
+}
+
+TEST(Scheduler, CoalescesRewrites) {
+  MemorySystem sys{quiet_config()};
+  for (double t : {0.0, 1.0, 2.0}) {
+    sys.submit(0x40, ReqKind::kWrite, t);
+    const auto comp = sys.step_until(t);
+    ASSERT_TRUE(comp.has_value());
+    EXPECT_DOUBLE_EQ(comp->time_ns, t);  // each rewrite is accepted at once
+  }
+  EXPECT_EQ(sys.write_queue_depth(0), 1u);
+}
+
+TEST(Scheduler, CountsCoalescedWrites) {
+  MemorySystem sys{quiet_config()};
+  sys.submit(0x40, ReqKind::kWrite, 0.0);
+  sys.submit(0x40, ReqKind::kWrite, 1.0);
+  sys.submit(0x80, ReqKind::kWrite, 2.0);
+  sys.submit(0x40, ReqKind::kWrite, 3.0);
+  EXPECT_EQ(sys.stats().writes, 4u);
+  EXPECT_EQ(sys.stats().coalesced_writes, 2u);
+  EXPECT_EQ(sys.write_queue_depth(0), 2u);
+}
+
+TEST(Scheduler, DrainAllEmptiesQueue) {
+  MemorySystem sys{quiet_config()};
+  for (u64 i = 0; i < 4; ++i) {
+    sys.submit(i * kLineBytes, ReqKind::kWrite, 100.0);
+  }
+  const double end = sys.drain_all();
+  EXPECT_EQ(sys.write_queue_depth(0), 0u);
+  EXPECT_GT(end, 100.0 + sys.config().org.t_write_ns);
+  EXPECT_EQ(sys.timing_stats().writes, 4u);
+  EXPECT_TRUE(sys.idle());
+}
+
+TEST(Scheduler, ReadAfterDrainSeesBusyBank) {
+  MemSysConfig c = quiet_config();
+  c.org.channels = 1;
+  c.org.banks = 1;
+  MemorySystem sys{c};
+  for (u64 i = 0; i < 6; ++i) {  // depth 6 == high watermark: drain mode
+    sys.submit(i * kLineBytes, ReqKind::kWrite, 0.0);
+  }
+  sys.submit(0x40000, ReqKind::kRead, 1.0);
+  // The read, the last completion, waited for the drain down to the low
+  // watermark.
+  EXPECT_GT(settle(sys, 0.0) - 1.0,
+            static_cast<double>(6 - c.low_watermark) * c.org.t_write_ns);
+}
+
+TEST(Scheduler, CoalescingAndForwardingPayOffOnHotWrites) {
+  // Hot lines are rewritten repeatedly and read back: the write queue
+  // coalesces the rewrites (fewer array writes) and forwards the reads
+  // (no array access), the two concrete wins of write buffering.
+  std::vector<MemRequest> requests;
+  Xoshiro256 rng{42};
+  for (int burst = 0; burst < 200; ++burst) {
+    for (int w = 0; w < 8; ++w) {
+      requests.push_back({rng.next_below(4) * kLineBytes, true});
+    }
+    requests.push_back({rng.next_below(4) * kLineBytes, false});
+  }
+  const LoadResult r = run_request_stream(requests, quiet_config());
+  EXPECT_EQ(r.stats.writes, 1600u);
+  EXPECT_LT(r.stats.array_writes, r.stats.writes / 4);  // coalescing
+  EXPECT_GT(r.stats.forwarded_reads, 100u);             // forwarding
+  EXPECT_EQ(r.timing.reads + r.stats.forwarded_reads, r.stats.reads);
+}
+
+TEST(Scheduler, WatermarkEdgesValidate) {
+  MemSysConfig c = quiet_config();
+  c.high_watermark = c.write_queue_capacity;  // edge: high == capacity
+  c.low_watermark = 0;                        // edge: drain runs dry
+  MemorySystem sys{c};
+  for (u64 i = 0; i + 1 < c.write_queue_capacity; ++i) {
+    sys.submit(i * kLineBytes, ReqKind::kWrite, 0.0);
+  }
+  EXPECT_EQ(sys.stats().drains, 0u);  // only a full queue triggers it
+  sys.submit(c.write_queue_capacity * kLineBytes, ReqKind::kWrite, 0.0);
+  EXPECT_EQ(sys.stats().drains, 1u);
+  (void)settle(sys, 0.0);
+  EXPECT_EQ(sys.write_queue_depth(0), 0u);  // and it drains everything
+  EXPECT_EQ(sys.timing_stats().writes, c.write_queue_capacity);
+}
+
+TEST(Scheduler, MembershipClearedAfterDrain) {
+  MemorySystem sys{quiet_config()};
+  sys.submit(0x40, ReqKind::kWrite, 0.0);
+  sys.drain_all();
+  EXPECT_EQ(sys.write_queue_depth(0), 0u);
+  // The drained line is no longer forwardable: the read goes to the array.
+  sys.submit(0x40, ReqKind::kRead, 1000.0);
+  const auto comp = step(sys);
+  ASSERT_TRUE(comp.has_value());
+  EXPECT_FALSE(comp->forwarded);
+  EXPECT_GT(comp->time_ns, 1000.0);
+  EXPECT_EQ(sys.stats().forwarded_reads, 0u);
+  // And a re-write of it is a fresh queue entry, not a coalesce.
+  sys.submit(0x40, ReqKind::kWrite, 2000.0);
+  EXPECT_EQ(sys.stats().coalesced_writes, 0u);
+  EXPECT_EQ(sys.write_queue_depth(0), 1u);
+}
+
+TEST(Scheduler, StatsMergeCombinesTwoRuns) {
+  // Drive two independent systems, merge their stats, and check the
+  // merge against a by-hand fold of the counters and samples.
+  MemorySystem a{quiet_config()};
+  MemorySystem b{quiet_config()};
+  double t = 0.0;
+  for (u64 i = 0; i < 20; ++i) {
+    a.submit(i * kLineBytes, ReqKind::kWrite, t);
+    a.submit(i * kLineBytes, ReqKind::kRead, t);  // forwarded: still queued
+    t = settle(a, t) + 5.0;
+  }
+  double u = 0.0;
+  for (u64 i = 0; i < 30; ++i) {
+    b.submit((i % 4) * kLineBytes, ReqKind::kRead, u);
+    u = settle(b, u) + 5.0;
+  }
+  const MemSysStats sa = a.stats();
+  const MemSysStats sb = b.stats();
+  MemSysStats merged = sa;
+  merged.merge(sb);
+  EXPECT_EQ(merged.reads, sa.reads + sb.reads);
+  EXPECT_EQ(merged.writes, sa.writes + sb.writes);
+  EXPECT_EQ(merged.forwarded_reads, sa.forwarded_reads + sb.forwarded_reads);
+  EXPECT_GT(merged.forwarded_reads, 0u);
+  EXPECT_EQ(merged.read_latency_stat.count(),
+            sa.read_latency_stat.count() + sb.read_latency_stat.count());
+  EXPECT_EQ(merged.read_latency_ns.count(), merged.reads);
+  // Identity: merging an empty stats block changes nothing.
+  const MemSysStats before = merged;
+  merged.merge(MemSysStats{});
+  EXPECT_EQ(merged, before);
+}
+
+TEST(Scheduler, ReadHistogramMatchesRunningStat) {
+  MemorySystem sys{small_config()};
+  double t = 0.0;
+  for (u64 i = 0; i < 40; ++i) {
+    if (i % 4 == 0) sys.submit(i * kLineBytes, ReqKind::kWrite, t);
+    sys.submit((i % 8) * kLineBytes, ReqKind::kRead, t);
+    t = settle(sys, t) + 10.0;
+  }
+  const MemSysStats st = sys.stats();
+  EXPECT_EQ(st.reads, 40u);
+  EXPECT_EQ(st.read_latency_ns.count(), st.reads);
+  EXPECT_NEAR(st.read_latency_ns.mean(), st.read_latency_stat.mean(), 1e-9);
 }
 
 TEST(MemorySystem, CompletionsAreMonotonicAndComplete) {

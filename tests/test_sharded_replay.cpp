@@ -117,10 +117,9 @@ TEST_F(ShardedReplayTest, MaxAccessesCapsBothEnginesAlike) {
 }
 
 TEST_F(ShardedReplayTest, ChannelOfLineAgreesWithDecompose) {
-  const MemoryTimingModel model{mem_.org};
   for (const MemAccess& a : stream_) {
     ASSERT_EQ(channel_of_line(mem_.org, a.line_addr()),
-              model.decompose(a.line_addr()).channel);
+              decompose(mem_.org, a.line_addr()).channel);
   }
 }
 

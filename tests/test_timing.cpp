@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/perf.hpp"
+#include "memsys/loadgen.hpp"
 
 namespace nvmenc {
 namespace {
@@ -31,16 +31,16 @@ TEST(MemOrg, Validation) {
 }
 
 TEST(Timing, DecomposeInterleavesRowsAcrossBanks) {
-  MemoryTimingModel model{simple_org()};
-  const BankAddress a = model.decompose(0);
-  const BankAddress b = model.decompose(4096);   // next row
-  const BankAddress c = model.decompose(8192);   // row after
+  const MemOrg org = simple_org();
+  const BankAddress a = decompose(org, 0);
+  const BankAddress b = decompose(org, 4096);   // next row
+  const BankAddress c = decompose(org, 8192);   // row after
   EXPECT_EQ(a.bank, 0u);
   EXPECT_EQ(b.bank, 1u);
   EXPECT_EQ(c.bank, 0u);
   EXPECT_EQ(c.row, a.row + 1);
   // Lines within one row share bank and row.
-  const BankAddress a2 = model.decompose(64);
+  const BankAddress a2 = decompose(org, 64);
   EXPECT_EQ(a2.bank, a.bank);
   EXPECT_EQ(a2.row, a.row);
 }
@@ -110,22 +110,25 @@ TEST(Timing, StatsLatencyAveragesAccumulate) {
 
 TEST(Timing, BankFreeAtBoundsChecked) {
   MemoryTimingModel model{simple_org()};
-  EXPECT_THROW((void)model.bank_free_at(1, 0), std::invalid_argument);
-  EXPECT_THROW((void)model.bank_free_at(0, 2), std::invalid_argument);
-  EXPECT_EQ(model.bank_free_at(0, 0), 0.0);
+  EXPECT_THROW((void)model.bank_free_at(2), std::invalid_argument);
+  EXPECT_EQ(model.bank_free_at(0), 0.0);
+  EXPECT_THROW(model.occupy_bank(2, 0.0, 1.0), std::invalid_argument);
+  model.occupy_bank(1, 10.0, 5.0);
+  EXPECT_EQ(model.bank_free_at(1), 15.0);
 }
 
 TEST(PerfReplay, ReadsStallWritesPost) {
-  PerfConfig pc;
-  pc.org = simple_org();
-  pc.cpu_gap_ns = 10.0;
+  MemSysConfig mem;
+  mem.org = simple_org();
   // read (stalls), write (posted), read.
   const std::vector<MemRequest> reqs{
       {0, false}, {4096, true}, {8192, false}};
-  const PerfResult r = run_timing(reqs, pc);
+  const LoadResult r = run_request_stream(reqs, mem);
   EXPECT_EQ(r.timing.reads, 2u);
   EXPECT_EQ(r.timing.writes, 1u);
-  EXPECT_GT(r.total_ns, 2 * (60 + 100 + 8));
+  EXPECT_EQ(r.stats.write_accept_ns.max(), 0.0);  // accepted on arrival
+  // Each read waits for its data: two cold reads plus the CPU gaps.
+  EXPECT_GT(r.makespan_ns, 2 * (60 + 100 + 8) + 3 * kCpuGapNs);
 }
 
 TEST(PerfReplay, HigherEncodeLatencySlowsWriteHeavyStreams) {
@@ -133,18 +136,18 @@ TEST(PerfReplay, HigherEncodeLatencySlowsWriteHeavyStreams) {
   for (u64 i = 0; i < 2000; ++i) {
     reqs.push_back({i * 64, i % 2 == 0});
   }
-  PerfConfig fast;
+  MemSysConfig fast;
   fast.org = simple_org();
-  PerfConfig slow = fast;
+  MemSysConfig slow = fast;
   slow.org.encode_latency_ns = 200.0;
-  const PerfResult a = run_timing(reqs, fast);
-  const PerfResult b = run_timing(reqs, slow);
-  EXPECT_GT(b.total_ns, a.total_ns);
+  const LoadResult a = run_request_stream(reqs, fast);
+  const LoadResult b = run_request_stream(reqs, slow);
+  EXPECT_GT(b.makespan_ns, a.makespan_ns);
 }
 
 TEST(PerfReplay, EmptyStream) {
-  const PerfResult r = run_timing({}, PerfConfig{});
-  EXPECT_EQ(r.total_ns, 0.0);
+  const LoadResult r = run_request_stream({}, MemSysConfig{});
+  EXPECT_EQ(r.makespan_ns, 0.0);
   EXPECT_EQ(r.timing.reads, 0u);
 }
 
@@ -153,11 +156,10 @@ TEST(Timing, DecomposeRoundTripsAcrossChannels) {
   org.channels = 3;
   org.ranks = 2;
   org.banks = 4;
-  MemoryTimingModel model{org};
   const usize banks_per_channel = org.ranks * org.banks;
   for (u64 line = 0; line < 5000; ++line) {
     const u64 addr = line * kLineBytes;
-    const BankAddress where = model.decompose(addr);
+    const BankAddress where = decompose(org, addr);
     ASSERT_LT(where.channel, org.channels);
     ASSERT_LT(where.bank, banks_per_channel);
     // Reconstruct the row id from its (channel, bank, row) digits: the
@@ -168,25 +170,25 @@ TEST(Timing, DecomposeRoundTripsAcrossChannels) {
         where.channel;
     EXPECT_EQ(rebuilt, row_id);
     // Lines within one row land on the same bank.
-    EXPECT_EQ(model.decompose(addr + kLineBytes - 1).bank, where.bank);
+    EXPECT_EQ(decompose(org, addr + kLineBytes - 1).bank, where.bank);
   }
 }
 
 TEST(Timing, RowOpenTracksTheRowBuffer) {
   MemoryTimingModel model{simple_org()};
-  const BankAddress where = model.decompose(0);
-  EXPECT_FALSE(model.row_open(where.channel, where.bank, where.row));
+  const BankAddress where = decompose(model.org(), 0);
+  EXPECT_FALSE(model.row_open(where.bank, where.row));
   (void)model.access(0, MemOp::kRead, 0.0);
-  EXPECT_TRUE(model.row_open(where.channel, where.bank, where.row));
-  EXPECT_FALSE(model.row_open(where.channel, where.bank, where.row + 1));
+  EXPECT_TRUE(model.row_open(where.bank, where.row));
+  EXPECT_FALSE(model.row_open(where.bank, where.row + 1));
   // A different row on the same bank evicts the open row.
   const u64 far = 2 * 4096;  // rows interleave: same bank, next row
-  const BankAddress where2 = model.decompose(far);
+  const BankAddress where2 = decompose(model.org(), far);
   ASSERT_EQ(where2.bank, where.bank);
   (void)model.access(far, MemOp::kRead, 1000.0);
-  EXPECT_FALSE(model.row_open(where.channel, where.bank, where.row));
-  EXPECT_TRUE(model.row_open(where2.channel, where2.bank, where2.row));
-  EXPECT_THROW((void)model.row_open(9, 0, 0), std::invalid_argument);
+  EXPECT_FALSE(model.row_open(where.bank, where.row));
+  EXPECT_TRUE(model.row_open(where2.bank, where2.row));
+  EXPECT_THROW((void)model.row_open(9, 0), std::invalid_argument);
 }
 
 TEST(Timing, HistogramsTrackLatencySamples) {

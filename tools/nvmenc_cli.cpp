@@ -23,17 +23,21 @@
 //       are decoded straight out of the mmap'd file at a fixed arrival
 //       rate; prints throughput and read-latency tail percentiles. With
 //       --schemes, sweeps one cell per scheme's encode latency.
-//   nvmenc perf --benchmark=gcc [--accesses=N] [--encode-ns=X] [--sched]
-//       Timing replay through the banked memory model.
+//   nvmenc perf --benchmark=gcc [--accesses=N] [--encode-ns=X]
+//       One blocking CPU replays the benchmark's request stream through the
+//       memory system; prints execution time and read latency.
 //   nvmenc loadgen --scheme=READ+SAE [--pattern=zipfian] [--users=N]
 //              [--think-ns=X] [--requests=N] [--encode-model=paper]
 //       Closed-loop load generation against the multi-channel memory
 //       system; prints throughput and read-latency tail percentiles.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <iostream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -45,7 +49,6 @@
 #include "runner/parallel_runner.hpp"
 #include "runner/progress.hpp"
 #include "sim/experiment.hpp"
-#include "sim/perf.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/text_trace.hpp"
@@ -71,7 +74,6 @@ struct Args {
   u64 seed = 42;
   usize jobs = 0;  // 0 = one worker per hardware context
   double encode_ns = 3.47;
-  bool sched = false;
   // Fault-injection / resilience knobs (matrix).
   double fault_rate = 0.0;
   double read_disturb = 0.0;
@@ -195,8 +197,7 @@ void handle_stop_signal(int) { g_cancel.request_stop(); }
       "          (loops the workload, serially, until the failure\n"
       "          condition; prints the aging summary, the survivor-\n"
       "          capacity curve, and the lifetime table)\n"
-      "  perf:   --benchmark=NAME [--accesses=N] [--encode-ns=X] "
-      "[--sched]\n"
+      "  perf:   --benchmark=NAME [--accesses=N] [--encode-ns=X]\n"
       "  loadgen: --scheme=NAME [--pattern=uniform|zipfian|diurnal]\n"
       "          [--users=N] [--think-ns=X] [--read-fraction=F]\n"
       "          [--requests=N] [--footprint=LINES] [--channels=N]\n"
@@ -205,6 +206,24 @@ void handle_stop_signal(int) { g_cancel.request_stop(); }
       "          home channel and runs per-channel closed loops on --jobs\n"
       "          workers; output is bit-identical for every --jobs value)\n";
   std::exit(2);
+}
+
+/// Parses a flag's number, rejecting signs, garbage, trailing characters
+/// and non-finite values with a message that names the flag (std::stoull
+/// would silently wrap "-1" to 2^64-1).
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end && text[0] != '-' &&
+            text[0] != '+';
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::cerr << "invalid value for '--" << flag << "': '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 Args parse(int argc, char** argv) {
@@ -218,94 +237,75 @@ Args parse(int argc, char** argv) {
   }
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const std::string& key) -> std::optional<std::string> {
-      const std::string prefix = "--" + key + "=";
-      if (arg.rfind(prefix, 0) == 0) {
-        args.seen.push_back(key);
-        return arg.substr(prefix.size());
-      }
-      return std::nullopt;
-    };
-    auto flag = [&](const std::string& key) {
-      if (arg != "--" + key) return false;
+    auto value = [&](const char* key) -> std::optional<std::string> {
+      const std::string prefix = std::string{"--"} + key + "=";
+      if (arg.rfind(prefix, 0) != 0) return std::nullopt;
       args.seen.push_back(key);
+      return arg.substr(prefix.size());
+    };
+    auto text = [&](const char* key, std::string& field) {
+      const auto v = value(key);
+      if (v) field = *v;
+      return v.has_value();
+    };
+    auto num = [&](const char* key, auto& field) {
+      const auto v = value(key);
+      if (v) field = parse_number<std::decay_t<decltype(field)>>(key, *v);
+      return v.has_value();
+    };
+    auto flag = [&](const char* key, bool& field) {
+      if (arg != std::string{"--"} + key) return false;
+      args.seen.push_back(key);
+      field = true;
       return true;
     };
-    if (auto v = value("benchmark")) args.benchmark = *v;
-    else if (auto v2 = value("scheme")) args.scheme = *v2;
-    else if (auto v3 = value("benchmarks")) args.benchmarks = *v3;
-    else if (auto v4 = value("schemes")) args.schemes = *v4;
-    else if (auto v5 = value("out")) args.out = *v5;
-    else if (auto v5b = value("in")) args.in = *v5b;
-    else if (auto v5c = value("format")) args.format = *v5c;
-    else if (auto v6 = value("csv")) args.csv_dir = *v6;
-    else if (auto v7 = value("accesses")) args.accesses = std::stoull(*v7);
-    else if (auto v8 = value("seed")) args.seed = std::stoull(*v8);
-    else if (auto v8b = value("jobs")) args.jobs = std::stoull(*v8b);
-    else if (auto v9 = value("encode-ns")) args.encode_ns = std::stod(*v9);
-    else if (auto va = value("fault-rate")) args.fault_rate = std::stod(*va);
-    else if (auto vb = value("read-disturb"))
-      args.read_disturb = std::stod(*vb);
-    else if (auto vc = value("stuck-rate")) args.stuck_rate = std::stod(*vc);
-    else if (auto vd = value("retry-limit"))
-      args.retry_limit = std::stoull(*vd);
-    else if (auto ve = value("fault-seed")) args.fault_seed = std::stoull(*ve);
-    else if (auto vf = value("checkpoint-dir")) args.checkpoint_dir = *vf;
-    else if (auto vg = value("checkpoint-every"))
-      args.checkpoint_every = std::stoull(*vg);
-    else if (auto vh = value("pattern")) args.pattern = *vh;
-    else if (auto vi = value("encode-model")) args.encode_model = *vi;
-    else if (auto vj = value("users")) args.users = std::stoull(*vj);
-    else if (auto vk = value("think-ns")) args.think_ns = std::stod(*vk);
-    else if (auto vl = value("read-fraction"))
-      args.read_fraction = std::stod(*vl);
-    else if (auto vm = value("requests")) args.requests = std::stoull(*vm);
-    else if (auto vn = value("footprint")) args.footprint = std::stoull(*vn);
-    else if (auto vo = value("channels")) args.channels = std::stoull(*vo);
-    else if (auto vp = value("inter-arrival-ns"))
-      args.inter_arrival_ns = std::stod(*vp);
-    else if (auto vq = value("max-accesses"))
-      args.max_accesses = std::stoull(*vq);
-    else if (auto vr = value("epoch-accesses"))
-      args.epoch_accesses = std::stoull(*vr);
-    else if (auto vs = value("scrub-interval"))
-      args.scrub_interval_ns = std::stod(*vs);
-    else if (auto vt = value("degrade-threshold"))
-      args.degrade_threshold = std::stoull(*vt);
-    else if (auto vu = value("spare-lines"))
-      args.spare_lines = std::stoull(*vu);
-    else if (auto vv = value("kill-channel"))
-      args.kill_channel = std::stoi(*vv);
-    else if (auto vw = value("kill-at-ns"))
-      args.kill_at_ns = std::stod(*vw);
-    else if (auto w1 = value("endurance")) args.endurance = std::stod(*w1);
-    else if (auto w2 = value("endurance-sigma"))
-      args.endurance_sigma = std::stod(*w2);
-    else if (auto w3 = value("age-multiplier"))
-      args.age_multiplier = std::stod(*w3);
-    else if (auto w4 = value("retention-tau"))
-      args.retention_tau_ns = std::stod(*w4);
-    else if (auto w5 = value("wear-per-write"))
-      args.wear_per_write = std::stod(*w5);
-    else if (auto w6 = value("wear-leveler")) args.wear_leveler = *w6;
-    else if (auto w7 = value("wl-interval"))
-      args.wl_interval = std::stoull(*w7);
-    else if (auto w8 = value("wl-region")) args.wl_region = std::stoull(*w8);
-    else if (auto w9 = value("lifetime-seed"))
-      args.lifetime_seed = std::stoull(*w9);
-    else if (auto wa = value("max-passes"))
-      args.max_passes = std::stoull(*wa);
-    else if (auto wb = value("capacity-floor"))
-      args.capacity_floor = std::stod(*wb);
-    else if (auto wc = value("until")) args.until = *wc;
-    else if (flag("run-to-failure")) args.run_to_failure = true;
-    else if (flag("sharded")) args.sharded = true;
-    else if (flag("memsys")) args.memsys = true;
-    else if (flag("protect-meta")) args.protect_meta = true;
-    else if (flag("atomic-writes")) args.atomic_writes = true;
-    else if (flag("resume")) args.resume = true;
-    else if (flag("sched")) args.sched = true;
-    else {
+    const bool known =
+        text("benchmark", args.benchmark) || text("scheme", args.scheme) ||
+        text("benchmarks", args.benchmarks) ||
+        text("schemes", args.schemes) || text("out", args.out) ||
+        text("in", args.in) || text("format", args.format) ||
+        text("csv", args.csv_dir) || num("accesses", args.accesses) ||
+        num("seed", args.seed) || num("jobs", args.jobs) ||
+        num("encode-ns", args.encode_ns) ||
+        num("fault-rate", args.fault_rate) ||
+        num("read-disturb", args.read_disturb) ||
+        num("stuck-rate", args.stuck_rate) ||
+        num("retry-limit", args.retry_limit) ||
+        num("fault-seed", args.fault_seed) ||
+        text("checkpoint-dir", args.checkpoint_dir) ||
+        num("checkpoint-every", args.checkpoint_every) ||
+        text("pattern", args.pattern) ||
+        text("encode-model", args.encode_model) ||
+        num("users", args.users) || num("think-ns", args.think_ns) ||
+        num("read-fraction", args.read_fraction) ||
+        num("requests", args.requests) || num("footprint", args.footprint) ||
+        num("channels", args.channels) ||
+        num("inter-arrival-ns", args.inter_arrival_ns) ||
+        num("max-accesses", args.max_accesses) ||
+        num("epoch-accesses", args.epoch_accesses) ||
+        num("scrub-interval", args.scrub_interval_ns) ||
+        num("degrade-threshold", args.degrade_threshold) ||
+        num("spare-lines", args.spare_lines) ||
+        num("kill-channel", args.kill_channel) ||
+        num("kill-at-ns", args.kill_at_ns) ||
+        num("endurance", args.endurance) ||
+        num("endurance-sigma", args.endurance_sigma) ||
+        num("age-multiplier", args.age_multiplier) ||
+        num("retention-tau", args.retention_tau_ns) ||
+        num("wear-per-write", args.wear_per_write) ||
+        text("wear-leveler", args.wear_leveler) ||
+        num("wl-interval", args.wl_interval) ||
+        num("wl-region", args.wl_region) ||
+        num("lifetime-seed", args.lifetime_seed) ||
+        num("max-passes", args.max_passes) ||
+        num("capacity-floor", args.capacity_floor) ||
+        text("until", args.until) ||
+        flag("run-to-failure", args.run_to_failure) ||
+        flag("sharded", args.sharded) || flag("memsys", args.memsys) ||
+        flag("protect-meta", args.protect_meta) ||
+        flag("atomic-writes", args.atomic_writes) ||
+        flag("resume", args.resume);
+    if (!known) {
       std::cerr << "unknown option '" << arg << "'\n";
       usage();
     }
@@ -334,6 +334,10 @@ void check_flag_combos(const Args& args) {
       reject(name, "needs a fault-capable mode (matrix, replay --memsys, "
                    "or loadgen)");
     }
+  }
+  if (args.command != "perf") {
+    reject("encode-ns", "applies to perf only (loadgen and replay --memsys "
+                        "take --encode-model)");
   }
   if (args.command != "matrix") {
     reject("protect-meta", "applies to the matrix controller path only");
@@ -834,25 +838,21 @@ int cmd_perf(const Args& args) {
   SyntheticWorkload workload{profile_by_name(args.benchmark), args.seed};
   const WritebackTrace trace = collect_writebacks(workload, cfg.collector);
 
-  PerfConfig pc;
-  pc.org.encode_latency_ns = args.encode_ns;
-  pc.use_write_queue = args.sched;
-  const PerfResult r = run_timing(trace.requests, pc);
+  MemSysConfig mem;
+  mem.org.encode_latency_ns = args.encode_ns;
+  const LoadResult r = run_request_stream(trace.requests, mem);
 
   TextTable table{{"metric", "value"}};
   table.add_row({"benchmark", args.benchmark});
   table.add_row({"requests", std::to_string(trace.requests.size())});
   table.add_row({"encode latency (ns)", TextTable::fmt(args.encode_ns, 2)});
-  table.add_row({"write queue", args.sched ? "on" : "off"});
-  table.add_row({"execution time (ms)", TextTable::fmt(r.total_ns / 1e6, 2)});
+  table.add_row({"execution time (ms)",
+                 TextTable::fmt(r.makespan_ns / 1e6, 2)});
   table.add_row({"avg read latency (ns)",
-                 TextTable::fmt(r.avg_read_latency_ns(), 1)});
+                 TextTable::fmt(r.stats.read_latency_stat.mean(), 1)});
   table.add_row({"row hit rate", TextTable::fmt(r.timing.row_hit_rate(), 3)});
-  if (args.sched) {
-    table.add_row({"forwarded reads",
-                   std::to_string(r.scheduler.forwarded_reads)});
-    table.add_row({"drain episodes", std::to_string(r.scheduler.drains)});
-  }
+  table.add_row({"forwarded reads", std::to_string(r.stats.forwarded_reads)});
+  table.add_row({"drain episodes", std::to_string(r.stats.drains)});
   table.print(std::cout);
   return 0;
 }
