@@ -52,11 +52,11 @@ WearSummary summarize(NvmDevice& device, const WritebackTrace& trace,
     if (wear == nullptr) continue;
     ++lines;
     for (usize b = 0; b < kLineBits; ++b) {
-      sum_data += (*wear)[b];
+      sum_data += static_cast<double>((*wear)[b]);
       s.max_data = std::max(s.max_data, static_cast<double>((*wear)[b]));
     }
     for (usize b = 0; b < enc.meta_bits(); ++b) {
-      const double w = (*wear)[kLineBits + b];
+      const double w = static_cast<double>((*wear)[kLineBits + b]);
       if (enc.is_tag_bit(b)) {
         sum_tag += w;
         s.max_tag = std::max(s.max_tag, w);

@@ -9,8 +9,8 @@
 #include "bench_util.hpp"
 
 #include "common/rng.hpp"
+#include "core/fnw.hpp"
 #include "encoding/dcw.hpp"
-#include "encoding/mask_coset.hpp"
 
 namespace nvmenc {
 namespace {

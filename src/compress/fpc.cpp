@@ -22,20 +22,6 @@ constexpr u64 sign_extend(u64 payload, usize bits) noexcept {
 
 }  // namespace
 
-usize fpc_payload_bits(u8 pattern) {
-  switch (pattern) {
-    case 0: return 0;
-    case 1: return 4;
-    case 2: return 8;
-    case 3: return 16;
-    case 4: return 32;
-    case 5: return 8;
-    case 6: return 32;
-    case 7: return 64;
-    default: throw std::invalid_argument("FPC pattern out of range");
-  }
-}
-
 FpcWord fpc_compress_word(u64 value) noexcept {
   if (value == 0) return {0, 0, 0};
   if (sign_extends(value, 4)) return {1, value & low_mask(4), 4};

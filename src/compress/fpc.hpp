@@ -19,6 +19,8 @@
 //   pattern 7: uncompressed                       payload 64
 #pragma once
 
+#include <stdexcept>
+
 #include "common/bit_buf.hpp"
 #include "common/cache_line.hpp"
 #include "common/types.hpp"
@@ -34,8 +36,21 @@ struct FpcWord {
   [[nodiscard]] usize total_bits() const noexcept { return 3 + payload_bits; }
 };
 
-/// Number of payload bits pattern `p` (0..7) carries.
-[[nodiscard]] usize fpc_payload_bits(u8 pattern);
+/// Number of payload bits pattern `p` (0..7) carries; throws
+/// std::invalid_argument on a bad pattern id.
+[[nodiscard]] constexpr usize fpc_payload_bits(u8 pattern) {
+  switch (pattern) {
+    case 0: return 0;
+    case 1: return 4;
+    case 2: return 8;
+    case 3: return 16;
+    case 4: return 32;
+    case 5: return 8;
+    case 6: return 32;
+    case 7: return 64;
+    default: throw std::invalid_argument("FPC pattern out of range");
+  }
+}
 
 /// Classifies `value` into its cheapest pattern.
 [[nodiscard]] FpcWord fpc_compress_word(u64 value) noexcept;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/fnw.hpp"
 #include "core/read_sae.hpp"
 #include "encoding/afnw.hpp"
 #include "encoding/cafo.hpp"

@@ -1,19 +1,11 @@
 #include "encoding/afnw.hpp"
 
 #include "compress/fpc.hpp"
+#include "encoding/payload_fnw.hpp"
 
 namespace nvmenc {
 
-namespace {
-
-/// Length of FNW segment k (0..3) over an L-bit compressed payload: the
-/// payload is split into four nearly-equal pieces, longer ones first.
-constexpr usize segment_len(usize payload_bits, usize k) noexcept {
-  return payload_bits / AfnwEncoder::kTagsPerWord +
-         (k < payload_bits % AfnwEncoder::kTagsPerWord ? 1 : 0);
-}
-
-}  // namespace
+static_assert(AfnwEncoder::kTagsPerWord == kPayloadSegments);
 
 StoredLine AfnwEncoder::make_stored(const CacheLine& line) const {
   StoredLine stored;
@@ -35,59 +27,25 @@ void AfnwEncoder::encode_impl(StoredLine& stored,
     const FpcWord cw = fpc_compress_word(new_line.word(w));
     const u64 old_slot = stored.data.word(w);
     const usize meta_base = w * kMetaPerWord;
-    const u64 old_tags =
-        stored.meta.bits(meta_base + kPatternBits, kTagsPerWord);
-
-    u64 new_slot = old_slot;  // cells beyond the payload retain old values
-    u64 new_tags = old_tags;
-    usize pos = 0;
-    for (usize k = 0; k < kTagsPerWord; ++k) {
-      const usize len = segment_len(cw.payload_bits, k);
-      if (len == 0) continue;  // unused tag keeps its stored value
-      const u64 old_seg = extract_bits({&old_slot, 1}, pos, len);
-      const u64 data_seg = (cw.payload >> pos) & low_mask(len);
-      const bool old_tag = (old_tags >> k) & 1;
-      const usize cost_plain = hamming(old_seg, data_seg) + (old_tag ? 1 : 0);
-      const usize cost_flip =
-          hamming(old_seg, ~data_seg & low_mask(len)) + (old_tag ? 0 : 1);
-      const bool flip = cost_flip < cost_plain;
-      deposit_bits({&new_slot, 1}, pos, len,
-                   flip ? (~data_seg & low_mask(len)) : data_seg);
-      if (flip) {
-        new_tags |= u64{1} << k;
-      } else {
-        new_tags &= ~(u64{1} << k);
-      }
-      pos += len;
-    }
-
-    stored.data.set_word(w, new_slot);
-    stored.meta.set_bits(meta_base, kPatternBits, cw.pattern);
-    stored.meta.set_bits(meta_base + kPatternBits, kTagsPerWord, new_tags);
+    const PayloadFnw enc = payload_fnw_encode(
+        old_slot, cw.payload, cw.payload_bits,
+        stored.meta.bits(meta_base + kPatternBits, kTagsPerWord));
+    // Cells beyond the payload retain their old values.
+    stored.data.set_word(
+        w, (old_slot & ~low_mask(cw.payload_bits)) | enc.cells);
+    stored.meta.set_bits(meta_base, kMetaPerWord,
+                         cw.pattern | enc.tags << kPatternBits);
   }
 }
 
 CacheLine AfnwEncoder::decode(const StoredLine& stored) const {
   CacheLine line;
   for (usize w = 0; w < kWordsPerLine; ++w) {
-    const usize meta_base = w * kMetaPerWord;
-    const u8 pattern =
-        static_cast<u8>(stored.meta.bits(meta_base, kPatternBits));
-    const u64 tags =
-        stored.meta.bits(meta_base + kPatternBits, kTagsPerWord);
-    const usize payload_bits = fpc_payload_bits(pattern);
-
-    const u64 slot = stored.data.word(w);
-    u64 payload = 0;
-    usize pos = 0;
-    for (usize k = 0; k < kTagsPerWord; ++k) {
-      const usize len = segment_len(payload_bits, k);
-      if (len == 0) continue;
-      u64 seg = extract_bits({&slot, 1}, pos, len);
-      if ((tags >> k) & 1) seg = ~seg & low_mask(len);
-      payload |= seg << pos;
-      pos += len;
-    }
+    const u64 field = stored.meta.bits(w * kMetaPerWord, kMetaPerWord);
+    const u8 pattern = static_cast<u8>(field & low_mask(kPatternBits));
+    const u64 payload =
+        payload_fnw_decode(stored.data.word(w), fpc_payload_bits(pattern),
+                           field >> kPatternBits);
     line.set_word(w, fpc_decompress_word(pattern, payload));
   }
   return line;

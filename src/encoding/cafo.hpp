@@ -8,9 +8,11 @@
 // choose each column's best tag — until a fixpoint. Tag-bit flips against
 // the previously stored tags are part of the cost, exactly like the data
 // cells.
+//
+// Row r is bits [16r, 16r + 16): the 16-bit lane r % 4 of line word r / 4,
+// so every pass works on whole words. Metadata: row tags in bits [0, 32),
+// column tags in bits [32, 48).
 #pragma once
-
-#include <array>
 
 #include "encoding/encoder.hpp"
 
@@ -38,11 +40,6 @@ class CafoEncoder final : public Encoder {
                    const CacheLine& new_line) const override;
 
  private:
-  /// Row r of a line: bits [r*16, r*16+16).
-  [[nodiscard]] static u64 row(const CacheLine& line, usize r) noexcept {
-    return extract_bits(line.words(), r * kCols, kCols);
-  }
-
   std::string name_ = "CAFO";
 };
 

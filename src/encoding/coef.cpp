@@ -1,18 +1,14 @@
 #include "encoding/coef.hpp"
 
 #include "compress/fpc.hpp"
+#include "encoding/payload_fnw.hpp"
 
 namespace nvmenc {
 
 namespace {
 
 constexpr usize kTagOffset = 60;  // tag bits at the top of the slot
-
-/// Length of FNW segment k (0..3) over an L-bit payload.
-constexpr usize segment_len(usize payload_bits, usize k) noexcept {
-  return payload_bits / CoefEncoder::kTagsPerWord +
-         (k < payload_bits % CoefEncoder::kTagsPerWord ? 1 : 0);
-}
+static_assert(CoefEncoder::kTagsPerWord == kPayloadSegments);
 
 }  // namespace
 
@@ -52,34 +48,17 @@ void CoefEncoder::encode_impl(StoredLine& stored,
       continue;
     }
 
-    const u64 old_tags =
-        extract_bits({&old_slot, 1}, kTagOffset, kTagsPerWord);
-    u64 slot = old_slot;  // cells between payload and tags retained
-    deposit_bits({&slot, 1}, 0, kPatternBits, cw.pattern);
-    u64 new_tags = old_tags;
-    usize pos = 0;
-    for (usize k = 0; k < kTagsPerWord; ++k) {
-      const usize len = segment_len(cw.payload_bits, k);
-      if (len == 0) continue;  // unused tag keeps its stored value
-      const u64 old_seg =
-          extract_bits({&old_slot, 1}, kPatternBits + pos, len);
-      const u64 data_seg = (cw.payload >> pos) & low_mask(len);
-      const bool old_tag = (old_tags >> k) & 1;
-      const usize cost_plain = hamming(old_seg, data_seg) + (old_tag ? 1 : 0);
-      const usize cost_flip =
-          hamming(old_seg, ~data_seg & low_mask(len)) + (old_tag ? 0 : 1);
-      const bool flip = cost_flip < cost_plain;
-      deposit_bits({&slot, 1}, kPatternBits + pos, len,
-                   flip ? (~data_seg & low_mask(len)) : data_seg);
-      if (flip) {
-        new_tags |= u64{1} << k;
-      } else {
-        new_tags &= ~(u64{1} << k);
-      }
-      pos += len;
-    }
-    deposit_bits({&slot, 1}, kTagOffset, kTagsPerWord, new_tags);
-    stored.data.set_word(w, slot);
+    const PayloadFnw enc =
+        payload_fnw_encode(old_slot >> kPatternBits, cw.payload,
+                           cw.payload_bits, old_slot >> kTagOffset);
+    // One masked merge: pattern, payload and tags are rewritten, the cells
+    // between payload and tags are retained.
+    const u64 fields = low_mask(kPatternBits) |
+                       low_mask(cw.payload_bits) << kPatternBits |
+                       low_mask(kTagsPerWord) << kTagOffset;
+    stored.data.set_word(w, (old_slot & ~fields) | cw.pattern |
+                                enc.cells << kPatternBits |
+                                enc.tags << kTagOffset);
     stored.meta.set_bit(w, true);
   }
 }
@@ -92,20 +71,10 @@ CacheLine CoefEncoder::decode(const StoredLine& stored) const {
       line.set_word(w, slot);  // raw slot
       continue;
     }
-    const u8 pattern =
-        static_cast<u8>(extract_bits({&slot, 1}, 0, kPatternBits));
-    const u64 tags = extract_bits({&slot, 1}, kTagOffset, kTagsPerWord);
-    const usize payload_bits = fpc_payload_bits(pattern);
-    u64 payload = 0;
-    usize pos = 0;
-    for (usize k = 0; k < kTagsPerWord; ++k) {
-      const usize len = segment_len(payload_bits, k);
-      if (len == 0) continue;
-      u64 seg = extract_bits({&slot, 1}, kPatternBits + pos, len);
-      if ((tags >> k) & 1) seg = ~seg & low_mask(len);
-      payload |= seg << pos;
-      pos += len;
-    }
+    const u8 pattern = static_cast<u8>(slot & low_mask(kPatternBits));
+    const u64 payload =
+        payload_fnw_decode(slot >> kPatternBits, fpc_payload_bits(pattern),
+                           slot >> kTagOffset);
     line.set_word(w, fpc_decompress_word(pattern, payload));
   }
   return line;

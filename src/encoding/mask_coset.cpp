@@ -67,12 +67,6 @@ CacheLine MaskCosetEncoder::decode(const StoredLine& stored) const {
   return line;
 }
 
-EncoderPtr make_fnw(usize granularity) {
-  return std::make_unique<MaskCosetEncoder>(
-      "FNW" + std::to_string(granularity), granularity,
-      std::vector<u64>{0, low_mask(granularity)});
-}
-
 EncoderPtr make_flipmin() {
   std::vector<u64> masks;
   masks.reserve(16);

@@ -6,11 +6,12 @@
 // index minimizing (data-cell flips + index-bit flips) against the current
 // stored image.
 //
-// Two members of the family reproduce published schemes:
-//   * Flip-N-Write [Cho & Lee, MICRO'09]: masks = {0, all-ones}, one index
-//     bit — flip the block or don't.
-//   * FlipMin-style coset coding [Jacobvitz et al., HPCA'13]: a larger,
-//     diverse mask set approximating coset selection.
+// The family instantiates the coset-coding comparison points, FlipMin
+// [Jacobvitz et al., HPCA'13] and PRES [Seyedzadeh et al., DAC'15]: a
+// larger, diverse mask set approximating coset selection. With masks
+// {0, all-ones} it is Flip-N-Write [Cho & Lee, MICRO'09]; the production
+// FNW runs on the segment kernels instead (core/fnw.hpp), and this
+// two-mask instance is its bit-exact test oracle.
 #pragma once
 
 #include <vector>
@@ -52,9 +53,6 @@ class MaskCosetEncoder : public Encoder {
   usize index_bits_;
   std::vector<u64> masks_;
 };
-
-/// Flip-N-Write at `granularity` data bits per tag bit (paper config: 8).
-[[nodiscard]] EncoderPtr make_fnw(usize granularity = 8);
 
 /// FlipMin-style coset encoder: 16-bit blocks, 4 index bits, nibble-
 /// replicated mask set {0x0000, 0x1111, ..., 0xFFFF}.

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fnw.hpp"
 #include "encoder_test_util.hpp"
 #include "encoding/dcw.hpp"
-#include "encoding/mask_coset.hpp"
 
 namespace nvmenc {
 namespace {

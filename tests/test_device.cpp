@@ -157,12 +157,12 @@ TEST(Device, RejectsUnalignedAddresses) {
   NvmDevice dev{NvmDeviceConfig{}, zero_init()};
   StoredLine image;
   image.meta = BitBuf{0};
-  EXPECT_THROW(dev.load(1), std::invalid_argument);
+  EXPECT_THROW((void)dev.load(1), std::invalid_argument);
   EXPECT_THROW(dev.store(kLineBytes + 7, image, 0), std::invalid_argument);
-  EXPECT_THROW(dev.wear(3), std::invalid_argument);
-  EXPECT_THROW(dev.bit_wear(5), std::invalid_argument);
-  EXPECT_NO_THROW(dev.load(0));
-  EXPECT_NO_THROW(dev.load(kLineBytes));
+  EXPECT_THROW((void)dev.wear(3), std::invalid_argument);
+  EXPECT_THROW((void)dev.bit_wear(5), std::invalid_argument);
+  EXPECT_NO_THROW((void)dev.load(0));
+  EXPECT_NO_THROW((void)dev.load(kLineBytes));
 }
 
 TEST(Device, StuckBitCountsLineOnce) {

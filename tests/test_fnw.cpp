@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fnw.hpp"
 #include "encoder_test_util.hpp"
 #include "encoding/dcw.hpp"
 

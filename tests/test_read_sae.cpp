@@ -9,7 +9,7 @@
 #include "encoder_test_util.hpp"
 #include "encoding/dcw.hpp"
 #include "core/paper_model.hpp"
-#include "encoding/mask_coset.hpp"
+#include "core/fnw.hpp"
 
 namespace nvmenc {
 namespace {

@@ -14,7 +14,9 @@
 //     a pure stream and as a mixed stream;
 //   * random READ+SAE configurations (tag budget, granularity levels,
 //     dirty-word pooling, tag rotation), forced per-encoder through
-//     AdaptiveConfig::simd — both tiers side by side in one process.
+//     AdaptiveConfig::simd — both tiers side by side in one process;
+//   * Flip-N-Write at every block width, from packed 1-bit segments over
+//     several 64-segment chunks to whole-word segments.
 //
 // The stream length is fixed-seed and short for tier-1 ctest; CI's long
 // mode raises it via NVMENC_FUZZ_WRITES (see .github/workflows/ci.yml).
@@ -28,6 +30,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "core/fnw.hpp"
 #include "core/read_sae.hpp"
 #include "core/schemes.hpp"
 #include "core/simd.hpp"
@@ -167,6 +170,25 @@ TEST(SimdFuzzTest, RandomReadSaeConfigs) {
     EXPECT_EQ(vector.simd_tier(), detect_simd_tier());
 
     fuzz_stream(oracle, vector, kSeed ^ (static_cast<u64>(c) << 16), writes,
+                nullptr);
+  }
+}
+
+TEST(SimdFuzzTest, FnwAllGranularities) {
+  // FnwEncoder captures the process default at construction, so each
+  // tier is forced there.
+  const u64 writes = fuzz_writes();
+  const SimdTier before = default_simd_tier();
+  for (usize g = 1; g <= 64; g *= 2) {
+    set_default_simd_tier(SimdTier::kScalar);
+    const FnwEncoder oracle{g};
+    set_default_simd_tier(detect_simd_tier());
+    const FnwEncoder vector{g};
+    set_default_simd_tier(before);
+    EXPECT_EQ(oracle.simd_tier(), SimdTier::kScalar);
+    EXPECT_EQ(vector.simd_tier(), detect_simd_tier());
+
+    fuzz_stream(oracle, vector, kSeed ^ (static_cast<u64>(g) << 24), writes,
                 nullptr);
   }
 }

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fnw.hpp"
 #include "encoder_test_util.hpp"
 #include "encoding/dcw.hpp"
 #include "encoding/deuce.hpp"
-#include "encoding/mask_coset.hpp"
 
 namespace nvmenc {
 namespace {
