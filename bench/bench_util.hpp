@@ -1,10 +1,12 @@
-// Shared plumbing for the figure-regeneration binaries.
+// Shared plumbing for the bench binaries.
 //
-// Every binary under bench/ regenerates one table or figure of the paper
-// (see DESIGN.md §4): it prints the same rows/series the figure plots and,
-// with --csv=<dir>, mirrors them to CSV for re-plotting. --quick shrinks
-// the simulated window for smoke runs; --json=<file> is honoured by the
-// binaries that write a results/BENCH_*.json document.
+// Each binary under bench/ regenerates figures, tables or sweeps of the
+// evaluation (see DESIGN.md §4): paper_claims prints Figures 2 and 9-12
+// from one matrix, and most others one figure, table or sweep each. They
+// print the rows/series the figures plot and, with --csv=<dir>, mirror
+// each table to CSV for re-plotting. --quick shrinks the simulated window
+// for smoke runs; --json=<file> is honoured by the binaries that write a
+// results/BENCH_*.json document.
 #pragma once
 
 #include <charconv>

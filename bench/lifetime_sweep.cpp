@@ -3,13 +3,13 @@
 //
 // The paper's lifetime claim (§3.5, Fig. 12) is that flip reduction is
 // endurance: a scheme that halves the flips per write doubles the writes a
-// line sustains before wearing out. bench/fig12_lifetime prices that claim
-// analytically; this bench prices it *mechanistically*. Every cell drives
-// the identical keyed zipfian stream through the identical memory system —
-// same endurance draws, same hot lines — varying only the calibrated
-// flips-per-write of the scheme under test (RAW rewrites every cell:
-// kLineBits flips; FNW and READ+SAE charge their encoder-calibrated SET+
-// RESET counts). The accelerated-aging driver loops the workload until the
+// line sustains before wearing out. bench/paper_claims prices that claim
+// analytically (Figure 12); this bench prices it *mechanistically*. Every
+// cell drives the identical keyed zipfian stream through the identical
+// memory system — same endurance draws, same hot lines — varying only the
+// calibrated flips-per-write of the scheme under test (RAW rewrites every
+// cell: kLineBits flips; FNW and READ+SAE charge their encoder-calibrated
+// SET+RESET counts). The accelerated-aging driver loops the workload until the
 // first channel trips, recording the survivor-capacity curve and the
 // writes-to-first-retirement / writes-to-first-trip markers. If the
 // mechanistic ordering READ+SAE > FNW > RAW ever breaks, the bench exits
@@ -17,8 +17,8 @@
 //
 // Calibration regime: on this repo's SPEC stand-in value streams the
 // hardware-faithful encoders do NOT reproduce the paper's flip ordering —
-// FNW flips less than READ+SAE (results/REPORT.md, Figure 9), so a
-// lifetime sweep there would invert the paper's headline. The ordering
+// FNW flips less than READ+SAE (Figure 9, checked by bench/paper_claims),
+// so a lifetime sweep there would invert the paper's headline. The ordering
 // the paper claims is realized in the sequential-flip regime its §3.2
 // motivates SAE with (bench/ablation_sequential_flips: READ+SAE crosses
 // below FNW as the complement-slot share grows, hardware crossover near

@@ -11,7 +11,8 @@
 // the line is walked in chunks of min(64, 512/g) blocks: one chunk for
 // g >= 8, 512/(64g) chunks for g in {1, 2, 4}. Metadata bit b tags block
 // b, hence chunk c owns metadata word c. This is the layout (and the
-// tie-break) of MaskCosetEncoder with masks {0, low_mask(g)}, which
+// tie-break) of MaskCosetEncoder with masks {0, low_mask(g)}, the test
+// oracle in tests/reference_mask_coset.hpp that
 // tests/test_baseline_differential.cpp holds it to bit for bit.
 #pragma once
 

@@ -8,7 +8,6 @@
 #include "encoding/cafo.hpp"
 #include "encoding/coef.hpp"
 #include "encoding/dcw.hpp"
-#include "encoding/mask_coset.hpp"
 
 namespace nvmenc {
 
@@ -16,6 +15,15 @@ const std::vector<Scheme>& paper_schemes() {
   static const std::vector<Scheme> schemes = {
       Scheme::kDcw,  Scheme::kFnw,  Scheme::kAfnw, Scheme::kCoef,
       Scheme::kCafo, Scheme::kRead, Scheme::kReadSae};
+  return schemes;
+}
+
+const std::vector<Scheme>& all_schemes() {
+  static const std::vector<Scheme> schemes = {
+      Scheme::kDcw,       Scheme::kFnw,          Scheme::kAfnw,
+      Scheme::kCoef,      Scheme::kCafo,         Scheme::kRead,
+      Scheme::kReadSae,   Scheme::kSaeOnly,      Scheme::kReadSaeRotate,
+      Scheme::kReadPaper, Scheme::kReadSaePaper, Scheme::kAfnwPaper};
   return schemes;
 }
 
@@ -38,8 +46,6 @@ std::string scheme_name(Scheme scheme) {
     case Scheme::kRead: return "READ";
     case Scheme::kReadSae: return "READ+SAE";
     case Scheme::kSaeOnly: return "SAE-only";
-    case Scheme::kFlipMin: return "FlipMin";
-    case Scheme::kPres: return "PRES";
     case Scheme::kReadSaeRotate: return "READ+SAE-R";
     case Scheme::kReadPaper: return "READ*";
     case Scheme::kReadSaePaper: return "READ+SAE*";
@@ -63,8 +69,6 @@ EncoderPtr make_encoder(Scheme scheme) {
     case Scheme::kRead: return make_read();
     case Scheme::kReadSae: return make_read_sae();
     case Scheme::kSaeOnly: return make_sae_only();
-    case Scheme::kFlipMin: return make_flipmin();
-    case Scheme::kPres: return make_pres();
     case Scheme::kReadSaeRotate: return make_read_sae_rotate();
     case Scheme::kReadPaper:
     case Scheme::kReadSaePaper:
@@ -83,11 +87,7 @@ bool charges_encode_logic(Scheme scheme) {
 }
 
 Scheme scheme_by_name(const std::string& name) {
-  for (Scheme s :
-       {Scheme::kDcw, Scheme::kFnw, Scheme::kAfnw, Scheme::kCoef,
-        Scheme::kCafo, Scheme::kRead, Scheme::kReadSae, Scheme::kSaeOnly,
-        Scheme::kFlipMin, Scheme::kPres, Scheme::kReadSaeRotate,
-        Scheme::kReadPaper, Scheme::kReadSaePaper, Scheme::kAfnwPaper}) {
+  for (Scheme s : all_schemes()) {
     if (scheme_name(s) == name) return s;
   }
   if (name == "FNW") return Scheme::kFnw;

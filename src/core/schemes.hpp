@@ -20,9 +20,10 @@ enum class Scheme {
   kReadSae,  ///< this paper: READ + adaptive granularity (8.2% overhead)
   // Extensions beyond the paper's seven:
   kSaeOnly,  ///< ablation: adaptive granularity without dirty pooling
-  kFlipMin,  ///< coset-coding comparison point
-  kPres,     ///< pseudo-random coset candidates [Seyedzadeh et al., DAC'15]
-  kReadSaeRotate,  ///< READ+SAE + rotating tag cells (meta-wear fix, ours)
+  /// READ+SAE + rotating tag cells (meta-wear fix, ours). Ids are fixed
+  /// (checkpoint fingerprints and per-scheme test seeds hash them), so 8
+  /// and 9 stay unused.
+  kReadSaeRotate = 10,
   /// The paper's idealized (plaintext-resident) accounting for READ,
   /// READ+SAE and AFNW (see core/paper_model.hpp): costs computed from
   /// logical old/new pairs, only tag/flag state persists. Used to
@@ -41,7 +42,11 @@ enum class Scheme {
 /// hardware-faithful stateful encoders.
 [[nodiscard]] const std::vector<Scheme>& paper_schemes();
 
-/// The scheme set the figure benches replay: the five baselines plus BOTH
+/// Every scheme id, in declaration order: the registry `scheme_by_name`
+/// searches and `nvmenc list` prints.
+[[nodiscard]] const std::vector<Scheme>& all_schemes();
+
+/// The scheme set bench/paper_claims replays: the five baselines plus BOTH
 /// accounting variants of READ and READ+SAE ("READ*" / "READ+SAE*" are
 /// the paper's idealized accounting; see core/paper_model.hpp).
 [[nodiscard]] const std::vector<Scheme>& figure_schemes();

@@ -42,8 +42,6 @@ double paper_encode_ns(Scheme scheme) {
     case Scheme::kAfnw:
     case Scheme::kCoef:
     case Scheme::kCafo:
-    case Scheme::kFlipMin:
-    case Scheme::kPres:
     case Scheme::kAfnwPaper:
       return 1.0;  // shallow compare/count tree, estimate
   }
@@ -65,8 +63,6 @@ double measured_encode_ns(Scheme scheme) {
     case Scheme::kCoef:
       return 437.0;
     case Scheme::kCafo:
-    case Scheme::kFlipMin:
-    case Scheme::kPres:
       return 2510.0;
     case Scheme::kRead:
     case Scheme::kReadPaper:

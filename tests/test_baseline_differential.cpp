@@ -2,7 +2,8 @@
 // production encoder runs in lockstep with an independent oracle:
 //
 //   * FnwEncoder (segment kernels) against MaskCosetEncoder with masks
-//     {0, low_mask(g)}, at every granularity g in {1, 2, 4, ..., 64};
+//     {0, low_mask(g)} (reference_mask_coset.hpp), at every granularity g
+//     in {1, 2, 4, ..., 64};
 //   * AfnwEncoder, CoefEncoder and CafoEncoder against the bit-at-a-time
 //     implementations kept in reference_baselines.hpp.
 //
@@ -24,8 +25,8 @@
 #include "encoding/afnw.hpp"
 #include "encoding/cafo.hpp"
 #include "encoding/coef.hpp"
-#include "encoding/mask_coset.hpp"
 #include "reference_baselines.hpp"
+#include "reference_mask_coset.hpp"
 #include "sim/collector.hpp"
 #include "trace/synthetic.hpp"
 
@@ -56,7 +57,7 @@ EncoderPair make_pair(int i) {
   const auto idx = static_cast<usize>(i);
   if (idx < std::size(kFnwGranularities)) {
     const usize g = kFnwGranularities[idx];
-    return {make_fnw(g), std::make_unique<MaskCosetEncoder>(
+    return {make_fnw(g), std::make_unique<testutil::MaskCosetEncoder>(
                              "MaskCoset-FNW", g,
                              std::vector<u64>{0, low_mask(g)})};
   }

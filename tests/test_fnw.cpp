@@ -1,17 +1,20 @@
-// MaskCosetEncoder tests: Flip-N-Write and FlipMin behaviour, the
-// theoretical bounds the paper's Figure 3 rests on.
-#include "encoding/mask_coset.hpp"
+// Flip-N-Write tests: the per-block flip decision and the theoretical
+// bounds the paper's Figure 3 rests on, plus the argument checks of
+// MaskCosetEncoder, FNW's differential-testing oracle
+// (reference_mask_coset.hpp).
+#include "core/fnw.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/fnw.hpp"
 #include "encoder_test_util.hpp"
 #include "encoding/dcw.hpp"
+#include "reference_mask_coset.hpp"
 
 namespace nvmenc {
 namespace {
 
 TEST(MaskCoset, CtorValidation) {
+  using testutil::MaskCosetEncoder;
   using V = std::vector<u64>;
   // Block must divide 512 and fit in 64.
   EXPECT_THROW(MaskCosetEncoder("x", 0, V{0, 1}), std::invalid_argument);
@@ -130,75 +133,6 @@ TEST(Fnw, FinerGranularityReducesRandomDataFlips) {
   const usize f64 = total_flips(64);
   EXPECT_LT(f4, f16);
   EXPECT_LT(f16, f64);
-}
-
-TEST(FlipMin, RoundTripsAllWriteClasses) {
-  const EncoderPtr enc = make_flipmin();
-  testutil::exercise_encoder(*enc, 4242);
-}
-
-TEST(FlipMin, BeatsFnwAtSameBlockSizeOnRandomData) {
-  // 16 masks over 16-bit blocks vs 2 masks: strictly more choice can only
-  // help the data flips; with tag cost it should still win on random data.
-  Xoshiro256 rng{91};
-  std::vector<CacheLine> lines;
-  for (int i = 0; i < 400; ++i) lines.push_back(testutil::random_line(rng));
-  const EncoderPtr flipmin = make_flipmin();
-  const EncoderPtr fnw16 = make_fnw(16);
-  StoredLine s1 = flipmin->make_stored(lines[0]);
-  StoredLine s2 = fnw16->make_stored(lines[0]);
-  usize f1 = 0;
-  usize f2 = 0;
-  for (usize i = 1; i < lines.size(); ++i) {
-    f1 += flipmin->encode(s1, lines[i]).total();
-    f2 += fnw16->encode(s2, lines[i]).total();
-  }
-  EXPECT_LT(f1, f2);
-}
-
-TEST(FlipMin, NameAndOverhead) {
-  const EncoderPtr enc = make_flipmin();
-  EXPECT_EQ(enc->name(), "FlipMin");
-  EXPECT_EQ(enc->meta_bits(), 32u * 4);  // 32 blocks x 4 index bits
-}
-
-TEST(Pres, RoundTripsAllWriteClasses) {
-  const EncoderPtr enc = make_pres();
-  EXPECT_EQ(enc->name(), "PRES");
-  testutil::exercise_encoder(*enc, 5150);
-}
-
-TEST(Pres, SeedChangesMaskSetButNotCorrectness) {
-  const EncoderPtr a = make_pres(1);
-  const EncoderPtr b = make_pres(2);
-  Xoshiro256 rng{33};
-  const CacheLine old_line = testutil::random_line(rng);
-  const CacheLine new_line = testutil::random_line(rng);
-  StoredLine sa = a->make_stored(old_line);
-  StoredLine sb = b->make_stored(old_line);
-  (void)a->encode(sa, new_line);
-  (void)b->encode(sb, new_line);
-  EXPECT_EQ(a->decode(sa), new_line);
-  EXPECT_EQ(b->decode(sb), new_line);
-  // Different mask sets almost surely store different images.
-  EXPECT_NE(sa.data, sb.data);
-}
-
-TEST(Pres, BeatsFnwAtSameBlockSizeOnRandomData) {
-  Xoshiro256 rng{35};
-  std::vector<CacheLine> lines;
-  for (int i = 0; i < 400; ++i) lines.push_back(testutil::random_line(rng));
-  const EncoderPtr pres = make_pres();
-  const EncoderPtr fnw16 = make_fnw(16);
-  StoredLine s1 = pres->make_stored(lines[0]);
-  StoredLine s2 = fnw16->make_stored(lines[0]);
-  usize f1 = 0;
-  usize f2 = 0;
-  for (usize i = 1; i < lines.size(); ++i) {
-    f1 += pres->encode(s1, lines[i]).total();
-    f2 += fnw16->encode(s2, lines[i]).total();
-  }
-  EXPECT_LT(f1, f2);
 }
 
 }  // namespace

@@ -9,12 +9,11 @@ namespace nvmenc {
 namespace {
 
 /// Every constructible (non-paper-model) scheme.
-const std::vector<Scheme>& all_encoder_schemes() {
-  static const std::vector<Scheme> schemes = {
-      Scheme::kDcw,     Scheme::kFnw,     Scheme::kAfnw,
-      Scheme::kCoef,    Scheme::kCafo,    Scheme::kRead,
-      Scheme::kReadSae, Scheme::kSaeOnly, Scheme::kFlipMin,
-      Scheme::kPres,    Scheme::kReadSaeRotate};
+std::vector<Scheme> all_encoder_schemes() {
+  std::vector<Scheme> schemes;
+  for (Scheme s : all_schemes()) {
+    if (!is_paper_model(s)) schemes.push_back(s);
+  }
   return schemes;
 }
 
@@ -64,7 +63,7 @@ TEST(Schemes, EncodeLogicChargedOnlyForContribution) {
 }
 
 TEST(Schemes, NameRoundTrip) {
-  for (Scheme s : paper_schemes()) {
+  for (Scheme s : all_schemes()) {
     EXPECT_EQ(scheme_by_name(scheme_name(s)), s);
   }
   EXPECT_EQ(scheme_by_name("FNW"), Scheme::kFnw);
@@ -73,12 +72,10 @@ TEST(Schemes, NameRoundTrip) {
 }
 
 TEST(Schemes, ExtensionSchemesWork) {
-  for (Scheme s : {Scheme::kSaeOnly, Scheme::kFlipMin}) {
-    const EncoderPtr enc = make_encoder(s);
-    CacheLine line = CacheLine::filled(42);
-    StoredLine stored = enc->make_stored(line);
-    EXPECT_EQ(enc->decode(stored), line) << scheme_name(s);
-  }
+  const EncoderPtr enc = make_encoder(Scheme::kSaeOnly);
+  CacheLine line = CacheLine::filled(42);
+  StoredLine stored = enc->make_stored(line);
+  EXPECT_EQ(enc->decode(stored), line);
 }
 
 class EverySchemeProperty : public ::testing::TestWithParam<Scheme> {};
@@ -103,15 +100,13 @@ TEST_P(EverySchemeProperty, NeverWorseThanDcwPlusMetadata) {
         rng, logical, testutil::kAllWriteClasses[rng.next_below(6)]);
     const usize cost = enc->encode(stored, logical).total();
     const usize base = dcw.encode(plain, logical).total();
-    // Fixed-block mask schemes (FNW/FlipMin/PRES/CAFO) can always re-use
-    // each block's previous mask, so they are bounded by DCW + metadata.
+    // Fixed-block mask schemes (FNW/CAFO) can always re-use each block's
+    // previous mask, so they are bounded by DCW + metadata.
     // Compressing schemes re-layout data, and the READ family re-shapes
     // segment geometry (clean-word bookkeeping), so for those only the
     // trivial full-line bound applies.
     const bool strict = GetParam() == Scheme::kDcw ||
                         GetParam() == Scheme::kFnw ||
-                        GetParam() == Scheme::kFlipMin ||
-                        GetParam() == Scheme::kPres ||
                         GetParam() == Scheme::kCafo;
     if (strict) {
       ASSERT_LE(cost, base + enc->meta_bits()) << "iter " << i;

@@ -507,11 +507,7 @@ std::vector<std::string> split_csv(const std::string& list) {
 
 int cmd_list() {
   std::cout << "schemes:\n";
-  for (Scheme s :
-       {Scheme::kDcw, Scheme::kFnw, Scheme::kAfnw, Scheme::kCoef,
-        Scheme::kCafo, Scheme::kRead, Scheme::kReadSae, Scheme::kSaeOnly,
-        Scheme::kFlipMin, Scheme::kPres, Scheme::kReadPaper,
-        Scheme::kReadSaePaper, Scheme::kAfnwPaper}) {
+  for (Scheme s : all_schemes()) {
     std::cout << "  " << scheme_name(s)
               << (is_paper_model(s) ? "   (paper accounting model)" : "")
               << "\n";
