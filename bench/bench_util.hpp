@@ -9,10 +9,15 @@
 // results/BENCH_*.json document.
 #pragma once
 
-#include <charconv>
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
 
@@ -25,7 +30,8 @@ struct Options {
   usize jobs = 0;  // matrix workers; 0 = one per hardware context
 };
 
-inline Options parse_options(int argc, char** argv) {
+/// Exits 2 naming the option at fault.
+inline Options parse_options(int argc, char** argv) try {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -34,14 +40,7 @@ inline Options parse_options(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json_path = arg.substr(7);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      const std::string text = arg.substr(7);
-      const char* end = text.data() + text.size();
-      const auto [ptr, ec] = std::from_chars(text.data(), end, opt.jobs);
-      if (ec != std::errc{} || ptr != end) {
-        std::cerr << "invalid --jobs value: " << text
-                  << " (expected a number)\n";
-        std::exit(2);
-      }
+      opt.jobs = parse_number<usize>("--jobs", arg.substr(7));
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -49,11 +48,13 @@ inline Options parse_options(int argc, char** argv) {
                 << " [--quick] [--csv=<dir>] [--json=<file>] [--jobs=<n>]\n";
       std::exit(0);
     } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      std::exit(2);
+      throw std::invalid_argument{"unknown option: " + arg};
     }
   }
   return opt;
+} catch (const std::invalid_argument& e) {
+  std::cerr << e.what() << "\n";
+  std::exit(2);
 }
 
 /// The evaluation configuration every figure uses: the Table 2 hierarchy
@@ -81,6 +82,71 @@ inline void emit(const TextTable& table, const Options& opt,
 
 inline void banner(const std::string& title) {
   std::cout << "\n== " << title << " ==\n\n";
+}
+
+/// Command line of the perf gates: `--baseline=FILE`, `--<count>=N` (the
+/// gate's work per slice set), `--reps=R` and `--print-ratio`, plus the
+/// NVMENC_GATE_INJECT self-test hook (a slowdown to add, in percent).
+/// Throws std::invalid_argument naming the flag or variable at fault.
+struct GateOptions {
+  std::string baseline;
+  usize count = 0;
+  usize reps = 5;
+  bool print_ratio = false;
+  double inject_pct = 0.0;
+};
+
+inline GateOptions parse_gate_options(int argc, char** argv,
+                                      const std::string& count_flag,
+                                      GateOptions opt) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::string value = arg.substr(arg.find('=') + 1);
+    if (arg.rfind("--baseline=", 0) == 0) {
+      opt.baseline = value;
+    } else if (arg.rfind(count_flag + "=", 0) == 0) {
+      opt.count = parse_number<usize>(count_flag, value);
+    } else if (arg.rfind("--reps=", 0) == 0) {
+      opt.reps = parse_number<usize>("--reps", value);
+    } else if (arg == "--print-ratio") {
+      opt.print_ratio = true;
+    } else {
+      throw std::invalid_argument{std::string{"usage: "} + argv[0] +
+                                  " [--baseline=FILE] [" + count_flag +
+                                  "=N] [--reps=R] [--print-ratio]"};
+    }
+  }
+  if (opt.reps == 0) {
+    throw std::invalid_argument{"invalid value for '--reps': '0' (expected "
+                                "at least 1)"};
+  }
+  if (const char* env = std::getenv("NVMENC_GATE_INJECT")) {
+    opt.inject_pct = parse_number<double>("NVMENC_GATE_INJECT", env);
+  }
+  return opt;
+}
+
+/// Reads `"key": <number>` from a flat JSON file such as a gate's committed
+/// baseline (a full parser would be dead weight). Throws naming the file
+/// and key when either is missing or the value is not a number.
+inline double json_number(const std::string& path, const std::string& key) {
+  std::ifstream in{path};
+  if (!in) throw std::runtime_error{"cannot open " + path};
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  const std::string quoted = "\"" + key + "\"";
+  const auto at = text.find(quoted);
+  if (at == std::string::npos) {
+    throw std::runtime_error{path + " has no key " + quoted};
+  }
+  const auto colon = text.find(':', at);
+  const auto end = std::min(text.find_first_of(",}\n", colon), text.size());
+  std::string value =
+      colon < end ? text.substr(colon + 1, end - colon - 1) : std::string{};
+  value.erase(0, value.find_first_not_of(" \t\r"));
+  value.erase(value.find_last_not_of(" \t\r") + 1);
+  return parse_number<double>(path + " " + quoted, value);
 }
 
 }  // namespace nvmenc::bench

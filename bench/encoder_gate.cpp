@@ -30,15 +30,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/fnw.hpp"
@@ -148,52 +146,9 @@ Measurement measure(usize writes, usize reps) {
   return m;
 }
 
-/// Minimal extraction of `"key": <number>` from a JSON file; the baseline
-/// file is flat and committed, so a full parser would be dead weight.
-double json_number(const std::string& path, const std::string& key) {
-  std::ifstream in{path};
-  if (!in) {
-    throw std::runtime_error{"cannot open baseline file " + path};
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string quoted = "\"" + key + "\"";
-  const auto at = text.find(quoted);
-  if (at == std::string::npos) {
-    throw std::runtime_error{"baseline file " + path + " has no key " +
-                             quoted};
-  }
-  const auto colon = text.find(':', at);
-  if (colon == std::string::npos) {
-    throw std::runtime_error{"baseline file " + path + ": malformed " +
-                             quoted};
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int run_gate(int argc, char** argv) {
-  std::string baseline_path = "results/PERF_GATE_encoder.json";
-  usize writes = 50'000;
-  usize reps = 5;
-  bool print_ratio = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& k) -> std::optional<std::string> {
-      const std::string prefix = "--" + k + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
-    };
-    if (auto v = value("baseline")) baseline_path = *v;
-    else if (auto v2 = value("writes")) writes = std::stoull(*v2);
-    else if (auto v3 = value("reps")) reps = std::stoull(*v3);
-    else if (arg == "--print-ratio") print_ratio = true;
-    else {
-      std::cerr << "usage: encoder_gate [--baseline=FILE] [--writes=N] "
-                   "[--reps=R] [--print-ratio]\n";
-      return 2;
-    }
-  }
+  const bench::GateOptions opt = bench::parse_gate_options(
+      argc, argv, "--writes", {"results/PERF_GATE_encoder.json", 50'000});
 
   if (detect_simd_tier() == SimdTier::kScalar) {
     // Nothing to gate: scalar vs scalar is 1.0 by construction.
@@ -201,20 +156,17 @@ int run_gate(int argc, char** argv) {
     return 0;
   }
 
-  Measurement m = measure(writes, reps);
-  double injected_pct = 0.0;
-  if (const char* env = std::getenv("NVMENC_GATE_INJECT")) {
-    // Self-test hook: pretend the vector kernels got P percent slower.
-    injected_pct = std::strtod(env, nullptr);
-    m.vector_ns *= 1.0 + injected_pct / 100.0;
-  }
+  Measurement m = measure(opt.count, opt.reps);
+  // Self-test hook: pretend the vector kernels got P percent slower.
+  m.vector_ns *= 1.0 + opt.inject_pct / 100.0;
   const double ratio = m.vector_ns / m.scalar_ns;
-  if (print_ratio) {
+  if (opt.print_ratio) {
     std::cout << TextTable::fmt(ratio, 4) << "\n";
     return 0;
   }
 
-  const double baseline = json_number(baseline_path, "baseline_ratio");
+  const double baseline =
+      bench::json_number(opt.baseline, "baseline_ratio");
   const double headroom = 0.05;
   const double limit = baseline * (1.0 + headroom);
   const bool ratio_pass = ratio <= limit;
@@ -234,8 +186,8 @@ int run_gate(int argc, char** argv) {
                  TextTable::fmt(m.fnw_anchor_ns, 1)});
   table.add_row({"FNW8 / READ+SAE vector",
                  TextTable::fmt(m.fnw_ns / m.fnw_anchor_ns, 4)});
-  if (injected_pct != 0.0) {
-    table.add_row({"injected slowdown (%)", TextTable::fmt(injected_pct, 1)});
+  if (opt.inject_pct != 0.0) {
+    table.add_row({"injected slowdown (%)", TextTable::fmt(opt.inject_pct, 1)});
   }
   table.add_row({"verdict", pass ? "PASS" : "FAIL"});
   table.print(std::cout);

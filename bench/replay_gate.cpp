@@ -31,13 +31,11 @@
 //               [--accesses=N] [--reps=R] [--print-ratio]
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "memsys/memory_system.hpp"
 #include "trace/synthetic.hpp"
@@ -154,67 +152,21 @@ Measurement measure(usize accesses, usize reps) {
   return {best.scan_ns / n, best.replay_ns / n};
 }
 
-/// Minimal extraction of `"key": <number>` from a JSON file; the baseline
-/// file is flat and committed, so a full parser would be dead weight.
-double json_number(const std::string& path, const std::string& key) {
-  std::ifstream in{path};
-  if (!in) {
-    throw std::runtime_error{"cannot open baseline file " + path};
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string quoted = "\"" + key + "\"";
-  const auto at = text.find(quoted);
-  if (at == std::string::npos) {
-    throw std::runtime_error{"baseline file " + path + " has no key " +
-                             quoted};
-  }
-  const auto colon = text.find(':', at);
-  if (colon == std::string::npos) {
-    throw std::runtime_error{"baseline file " + path + ": malformed " +
-                             quoted};
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int run_gate(int argc, char** argv) {
-  std::string baseline_path = "results/PERF_GATE_replay.json";
-  usize accesses = 200'000;
-  usize reps = 5;
-  bool print_ratio = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& k) -> std::optional<std::string> {
-      const std::string prefix = "--" + k + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
-    };
-    if (auto v = value("baseline")) baseline_path = *v;
-    else if (auto v2 = value("accesses")) accesses = std::stoull(*v2);
-    else if (auto v3 = value("reps")) reps = std::stoull(*v3);
-    else if (arg == "--print-ratio") print_ratio = true;
-    else {
-      std::cerr << "usage: replay_gate [--baseline=FILE] [--accesses=N] "
-                   "[--reps=R] [--print-ratio]\n";
-      return 2;
-    }
-  }
+  const bench::GateOptions opt = bench::parse_gate_options(
+      argc, argv, "--accesses", {"results/PERF_GATE_replay.json", 200'000});
 
-  Measurement m = measure(accesses, reps);
-  double injected_pct = 0.0;
-  if (const char* env = std::getenv("NVMENC_GATE_INJECT")) {
-    // Self-test hook: pretend the replay pump got P percent slower.
-    injected_pct = std::strtod(env, nullptr);
-    m.replay_ns *= 1.0 + injected_pct / 100.0;
-  }
+  Measurement m = measure(opt.count, opt.reps);
+  // Self-test hook: pretend the replay pump got P percent slower.
+  m.replay_ns *= 1.0 + opt.inject_pct / 100.0;
   const double ratio = m.replay_ns / m.scan_ns;
-  if (print_ratio) {
+  if (opt.print_ratio) {
     std::cout << TextTable::fmt(ratio, 4) << "\n";
     return 0;
   }
 
-  const double baseline = json_number(baseline_path, "baseline_ratio");
+  const double baseline =
+      bench::json_number(opt.baseline, "baseline_ratio");
   const double headroom = 0.25;
   const double limit = baseline * (1.0 + headroom);
   const bool pass = ratio <= limit;
@@ -225,8 +177,8 @@ int run_gate(int argc, char** argv) {
   table.add_row({"ratio (replay/scan)", TextTable::fmt(ratio, 4)});
   table.add_row({"baseline ratio", TextTable::fmt(baseline, 4)});
   table.add_row({"limit (+25% headroom)", TextTable::fmt(limit, 4)});
-  if (injected_pct != 0.0) {
-    table.add_row({"injected slowdown (%)", TextTable::fmt(injected_pct, 1)});
+  if (opt.inject_pct != 0.0) {
+    table.add_row({"injected slowdown (%)", TextTable::fmt(opt.inject_pct, 1)});
   }
   table.add_row({"verdict", pass ? "PASS" : "FAIL"});
   table.print(std::cout);
