@@ -1,7 +1,9 @@
-// Perf-regression gate for the memory-system replay hot path.
+// Perf-regression gate for MemorySystem's pump: the router the closed
+// loops (run_load, run_request_stream) run on. Open-loop replay runs the
+// epoch engine (memsys/open_loop.hpp) on the same channel shards instead.
 //
 // Measures two things in one process over the same pre-generated access
-// stream: the full replay pump (step_until + submit + arbitrate +
+// stream: the full MemorySystem pump (step_until + submit + arbitrate +
 // complete through the channel shards) and a bare trace scan that only
 // reads each record and folds it into a checksum. The gate metric is the
 // RATIO replay_ns / scan_ns, not an absolute time: the scan runs on the

@@ -1,10 +1,11 @@
 #include "memsys/aging.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "memsys/open_loop.hpp"
 
 namespace nvmenc {
 
@@ -52,11 +53,39 @@ void AgingConfig::validate() const {
 
 namespace {
 
-/// The open serial replay loop (trace_replay.cpp) stretched over workload
-/// passes, with stop checks riding the existing epoch-boundary control
-/// interval. `at(g)` yields the g-th access of the endless stream.
-template <typename AccessAt>
-AgingResult run_to_failure_impl(const AccessAt& at, u64 per_pass,
+/// Loops a finite trace: access g of the endless stream is trace[g % n].
+struct LoopedTrace {
+  std::span<const MemAccess> trace;
+
+  MemAccess operator[](u64 g) const {
+    return trace[static_cast<usize>(g % trace.size())];
+  }
+};
+
+/// Access g is a pure function of (seed, g): a keyed per-index RNG feeds
+/// the sampler, so the stream needs no history and extends to any pass
+/// count — and a different max_passes never perturbs earlier accesses.
+struct KeyedStream {
+  const LoadGenConfig& load;
+  AddressSampler sampler;
+
+  MemAccess operator[](u64 g) const {
+    Xoshiro256 rng{SplitMix64{load.seed ^
+                              (0xa61c'5eed'0000'0001ull +
+                               g * 0x9e3779b97f4a7c15ull)}
+                       .next()};
+    MemAccess a{};
+    a.addr = sampler.draw(rng, g) * kLineBytes;
+    a.op = rng.next_bool(load.read_fraction) ? Op::kRead : Op::kWrite;
+    return a;
+  }
+};
+
+/// Runs the endless stream `source` on the open-loop engine (one worker)
+/// with aging's capacity sampling and stop rule as its epoch hook.
+/// `per_pass` accesses make one workload pass.
+template <typename Source>
+AgingResult run_to_failure_impl(const Source& source, u64 per_pass,
                                 const AgingConfig& aging,
                                 const MemSysConfig& mem) {
   aging.validate();
@@ -66,23 +95,18 @@ AgingResult run_to_failure_impl(const AccessAt& at, u64 per_pass,
           "run-to-failure needs the RAS layer (enable the lifetime model: "
           "set an endurance mean, a retention tau, or a wear leveler)");
 
-  MemorySystem sys{mem};
-  const usize nch = mem.org.channels;
   AgingResult result;
-  std::vector<u8> degraded;
-  bool any_degraded = false;
-  bool stopped = false;
 
   // Survivor capacity at `now`: each healthy channel contributes its
   // surviving-line fraction over the lines it has ever served (1.0 while
   // untouched), a tripped channel contributes 0 — so the curve starts at
   // 1 and falls toward 0 as spares drain and channels die.
-  const auto sample = [&](double now) {
+  const auto sample = [&](const std::vector<ChannelShard>& shards,
+                          double now) {
     CapacityPoint p;
     p.time_ns = now;
     double cap = 0.0;
-    for (usize c = 0; c < nch; ++c) {
-      const ChannelShard& shard = sys.shard(c);
+    for (const ChannelShard& shard : shards) {
       p.array_writes += shard.stats().array_writes;
       const FaultDomain* domain = shard.ras();
       if (domain == nullptr) {
@@ -100,15 +124,18 @@ AgingResult run_to_failure_impl(const AccessAt& at, u64 per_pass,
                                       domain->stats().retired_lines) /
                                       static_cast<double>(touched);
     }
-    p.capacity = cap / static_cast<double>(nch);
+    p.capacity = cap / static_cast<double>(shards.size());
     return p;
   };
 
-  // Records the point (when the failure picture changed), latches the
-  // first-retirement / first-trip markers, and — unless this is the final
-  // post-drain bookkeeping call — applies the stop condition.
-  const auto observe = [&](double now, bool allow_stop) {
-    const CapacityPoint p = sample(now);
+  // The engine's epoch hook. Records the point (when the failure picture
+  // changed) and latches the first-retirement / first-trip markers. At an
+  // epoch boundary it applies the stop condition; after the drain — which
+  // may finish wear crossings scheduled before the stop — it closes the
+  // curve but keeps the stop reason already decided.
+  const auto observe = [&](const std::vector<ChannelShard>& shards,
+                           double now, bool drained) {
+    const CapacityPoint p = sample(shards, now);
     if (result.curve.empty() || result.curve.back().retired != p.retired ||
         result.curve.back().degraded != p.degraded) {
       result.curve.push_back(p);
@@ -121,62 +148,41 @@ AgingResult run_to_failure_impl(const AccessAt& at, u64 per_pass,
       result.writes_to_first_trip = p.array_writes;
       result.first_trip_ns = now;
     }
-    if (!allow_stop || stopped) return;
+    if (drained) {
+      if (result.curve.back().time_ns != now) result.curve.push_back(p);
+      return false;
+    }
     if (aging.until == AgingUntil::kRetirement && p.retired > 0) {
       result.stop = AgingStop::kFirstRetirement;
-      stopped = true;
     } else if (aging.until == AgingUntil::kTrip && p.degraded > 0) {
       result.stop = AgingStop::kFirstTrip;
-      stopped = true;
     } else if (p.capacity < aging.capacity_floor) {
       result.stop = AgingStop::kCapacityFloor;
-      stopped = true;
+    } else {
+      return false;
     }
+    return true;
   };
 
-  u64 g = 0;  // global access index; virtual time never resets
-  for (u64 pass = 0; pass < aging.max_passes && !stopped; ++pass) {
-    result.passes = pass + 1;
-    for (u64 i = 0; i < per_pass; ++i, ++g) {
-      const double now = static_cast<double>(g) * aging.inter_arrival_ns;
-      while (sys.step_until(now)) {
-      }
-      if (g % aging.epoch_accesses == 0) {
-        sys.poll_ras(now);
-        degraded = sys.degraded_mask();
-        any_degraded = std::find(degraded.begin(), degraded.end(), u8{1}) !=
-                       degraded.end();
-        observe(now, /*allow_stop=*/true);
-        if (stopped) break;
-      }
-      const MemAccess a = at(g);
-      u64 addr = a.line_addr();
-      bool remapped = false;
-      if (any_degraded && degraded[channel_of_line(mem.org, addr)] != 0) {
-        const u64 routed = ras_remap_line(mem.org, addr, degraded);
-        remapped = routed != addr;
-        addr = routed;
-      }
-      (void)sys.submit(addr,
-                       a.op == Op::kRead ? ReqKind::kRead : ReqKind::kWrite,
-                       now, remapped);
-    }
-  }
+  TraceReplayConfig replay;
+  replay.inter_arrival_ns = aging.inter_arrival_ns;
+  replay.epoch_accesses = aging.epoch_accesses;
+  // The pass budget in accesses, clamped rather than wrapped: a budget
+  // past 2^64 - 1 accesses means "until failure", not a short run.
+  constexpr u64 kMaxAccesses = std::numeric_limits<u64>::max();
+  const u64 budget = aging.max_passes > kMaxAccesses / per_pass
+                         ? kMaxAccesses
+                         : aging.max_passes * per_pass;
+  const TraceReplayResult run =
+      run_open_loop(source, budget, replay, mem, 1, observe);
 
-  result.accesses = g;
-  result.makespan_ns = sys.drain_all();
-  // Final bookkeeping: the drain may finish wear crossings scheduled
-  // before the stop; record them and close the curve, but keep the stop
-  // reason the loop decided on.
-  sys.poll_ras(result.makespan_ns);
-  observe(result.makespan_ns, /*allow_stop=*/false);
-  if (result.curve.empty() ||
-      result.curve.back().time_ns != result.makespan_ns) {
-    result.curve.push_back(sample(result.makespan_ns));
-  }
-  result.stats = sys.stats();
-  result.timing = sys.timing_stats();
-  result.ras = sys.ras_report();
+  result.accesses = run.accesses;
+  const u64 done = run.accesses / per_pass;  // whole passes completed
+  result.passes = done < aging.max_passes ? done + 1 : aging.max_passes;
+  result.stats = run.stats;
+  result.timing = run.timing;
+  result.ras = run.ras;
+  result.makespan_ns = run.makespan_ns;
   result.total_array_writes = result.stats.array_writes;
   return result;
 }
@@ -185,31 +191,15 @@ AgingResult run_to_failure_impl(const AccessAt& at, u64 per_pass,
 
 AgingResult run_to_failure(std::span<const MemAccess> trace,
                            const AgingConfig& aging, const MemSysConfig& mem) {
-  const u64 n = trace.size();
-  require(n > 0, "run-to-failure needs a non-empty trace");
-  return run_to_failure_impl(
-      [trace, n](u64 g) { return trace[static_cast<usize>(g % n)]; }, n,
-      aging, mem);
+  require(!trace.empty(), "run-to-failure needs a non-empty trace");
+  return run_to_failure_impl(LoopedTrace{trace}, trace.size(), aging, mem);
 }
 
 AgingResult run_to_failure(const LoadGenConfig& load, const AgingConfig& aging,
                            const MemSysConfig& mem) {
   load.validate();
-  const AddressSampler sampler{load};
-  // Access g is a pure function of (seed, g): a keyed per-index RNG feeds
-  // the sampler, so the stream needs no history and extends to any pass
-  // count — and a different max_passes never perturbs earlier accesses.
-  const auto at = [&load, &sampler](u64 g) {
-    Xoshiro256 rng{SplitMix64{load.seed ^
-                              (0xa61c'5eed'0000'0001ull +
-                               g * 0x9e3779b97f4a7c15ull)}
-                       .next()};
-    MemAccess a{};
-    a.addr = sampler.draw(rng, g) * kLineBytes;
-    a.op = rng.next_bool(load.read_fraction) ? Op::kRead : Op::kWrite;
-    return a;
-  };
-  return run_to_failure_impl(at, load.requests, aging, mem);
+  return run_to_failure_impl(KeyedStream{load, AddressSampler{load}},
+                             load.requests, aging, mem);
 }
 
 }  // namespace nvmenc

@@ -4,15 +4,20 @@
 // age; this driver asks the question the paper's robustness claim hangs
 // on: how many writes does each scheme sustain before the first line
 // retires, the first channel trips, or capacity falls through a floor?
-// It re-runs a trace (or a per-index keyed synthetic stream) through the
-// serial MemorySystem front-end in passes, polling channel health and the
-// survivor-capacity metric at fixed access-count epochs — the same
-// deterministic control interval the replay engines use — and emits a
-// survivor-capacity curve plus writes-to-failure markers.
+// It re-runs a trace (or a per-index keyed synthetic stream) in passes on
+// the open-loop engine (memsys/open_loop.hpp), one continuous index space
+// of max_passes x pass length accesses. Its own part is the engine's
+// epoch hook: at every epoch boundary — after channel health is polled,
+// the same deterministic control interval a replay uses — it samples
+// survivor capacity, latches the failure markers and applies the stop
+// rule, and emits a survivor-capacity curve plus writes-to-failure
+// markers.
 //
-// Serial by construction: a run-to-failure sweep is one long causal chain
-// (traffic after a retirement depends on the retirement), so there is no
-// parallel epoch schedule to match. Parallelism belongs one level up —
+// A run is one long causal chain (traffic after a retirement depends on
+// the retirement), but across channels only through the degraded-channel
+// routing mask and the stop rule, which act at epoch boundaries alone —
+// exactly what the engine's epoch schedule models. run_to_failure runs
+// it on one worker; parallelism belongs one level up —
 // bench/lifetime_sweep fans independent (scheme, seed) cells over a
 // thread pool.
 #pragma once
@@ -94,7 +99,8 @@ struct AgingResult {
 };
 
 /// Loops `trace` (whole passes, continuous virtual time) until the
-/// configured failure condition or the pass budget. Requires an enabled
+/// configured failure condition or the pass budget (in accesses,
+/// max_passes x trace size, clamped at 2^64 - 1). Requires an enabled
 /// RAS/lifetime layer in `mem`.
 [[nodiscard]] AgingResult run_to_failure(std::span<const MemAccess> trace,
                                          const AgingConfig& aging,

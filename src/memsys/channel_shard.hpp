@@ -7,11 +7,12 @@
 // lives inside that channel's shard. This is the fact the parallel
 // simulation rests on: a shard's evolution is a pure function of its own
 // arrival sequence, so shards may be advanced on any thread, in any
-// relative order, and produce bit-identical state. The serial MemorySystem
-// front-end arbitrates shards in global virtual-time order (closed-loop
-// generators need cross-channel completion ordering); the sharded replay
-// and pinned-loadgen drivers advance shards concurrently in bounded
-// virtual-time epochs and merge statistics in channel-id order.
+// relative order, and produce bit-identical state. The MemorySystem router
+// arbitrates shards in global virtual-time order (closed-loop generators
+// need cross-channel completion ordering); the open-loop engine
+// (open_loop.hpp) and the pinned-loadgen driver advance shards directly,
+// inline or on parallel workers, and merge statistics in channel-id
+// order.
 //
 // The per-access hot path is allocation-free in steady state: queues are
 // RingBuffer / reserved vectors (amortized-zero growth to a high-water
@@ -59,9 +60,10 @@ class ChannelShard {
                           double now_ns, bool remapped = false);
 
   /// Submits with a shard-local ticket. Ticket VALUES differ from the
-  /// serial front-end's, but their relative order within the shard — the
-  /// only thing the completion tie-break and statistics depend on — is
-  /// identical, which is why sharded and serial runs match bit for bit.
+  /// MemorySystem router's, but their relative order within the shard —
+  /// the only thing the completion tie-break and statistics depend on —
+  /// is identical, which is why the open-loop engine matches a serial
+  /// MemorySystem loop bit for bit.
   u64 submit(u64 line_addr, ReqKind kind, double now_ns,
              bool remapped = false);
 

@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "runner/parallel_for.hpp"
 #include "runner/parallel_runner.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace nvmenc {
 
@@ -278,13 +277,8 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
     (void)shard.drain_all();
   };
 
-  const usize workers = std::min(resolve_jobs(jobs), nch);
-  if (workers <= 1) {
-    for (usize c = 0; c < nch; ++c) run_shard(c);
-  } else {
-    ThreadPool pool{workers};
-    parallel_for(pool, nch, run_shard);
-  }
+  const auto pool = pool_for(std::min(resolve_jobs(jobs), nch));
+  parallel_for(pool.get(), nch, run_shard);
 
   LoadResult result;
   for (usize c = 0; c < nch; ++c) {

@@ -25,11 +25,13 @@
 //
 // All per-channel state lives in ChannelShard; MemorySystem routes
 // arrivals by channel_of_line and arbitrates shards in global virtual-time
-// order, so it stays fully deterministic. Because shards share nothing,
-// the replay and pinned-loadgen drivers can instead advance them
-// concurrently in bounded virtual-time epochs (see trace_replay.hpp) and
-// merge statistics in channel-id order — bit-identical to this serial
-// front-end at any --jobs value (DESIGN.md §10).
+// order, so it stays fully deterministic. It is the router of the closed
+// loops (run_load, run_request_stream), where a completion on one channel
+// decides the next arrival on another. The open loops — replay, its sweep
+// and run-to-failure — do not need that coupling: the open-loop engine
+// (memsys/open_loop.hpp) advances the shards directly in bounded
+// virtual-time epochs, on any number of workers, and merges statistics in
+// channel-id order (DESIGN.md §10).
 #pragma once
 
 #include <optional>
@@ -97,9 +99,7 @@ class MemorySystem {
   [[nodiscard]] usize pending_reads(usize channel) const;
   [[nodiscard]] bool idle() const noexcept;
 
-  // --- shard access for the parallel epoch drivers ---
-  [[nodiscard]] usize shard_count() const noexcept { return shards_.size(); }
-  [[nodiscard]] ChannelShard& shard(usize c) { return shards_[c]; }
+  /// Read-only view of one channel's shard.
   [[nodiscard]] const ChannelShard& shard(usize c) const {
     return shards_[c];
   }

@@ -1,4 +1,4 @@
-// Open-loop trace-driven replay through the MemorySystem.
+// Open-loop trace-driven replay through the channel shards.
 //
 // The closed-loop load generator (loadgen.hpp) throttles itself: each user
 // waits for its completion before issuing again, so it can never overrun
@@ -13,21 +13,17 @@
 // decoded straight out of the page cache, so a 10^8-access replay touches
 // no parser and allocates O(1) memory.
 //
-// Two deterministic engines replay the same stream (DESIGN.md §10):
+// One engine replays the stream (memsys/open_loop.hpp, DESIGN.md §10):
+// arrival number i lands at time i * inter_arrival_ns, so an index range
+// IS a virtual-time window. The engine walks the trace in bounded epochs,
+// each channel shard scans the epoch's slice picking out its own
+// channel's accesses (channel_of_line), and a barrier separates epochs.
+// Shards share nothing and merge in channel-id order, so the result is
+// bit-identical at any --jobs value; one worker runs the slices inline.
+// The tier-1 tests hold it to the serial MemorySystem loop it replaced
+// (tests/reference_replay.hpp), rendered tables included.
 //
-//   * replay_trace — the serial MemorySystem front-end, one access at a
-//     time in global arrival order;
-//   * replay_trace_sharded — one worker per channel shard. Arrival number
-//     i lands at time i * inter_arrival_ns, so an index range IS a
-//     virtual-time window: the driver walks the trace in bounded epochs,
-//     each shard scans the epoch's slice picking out its own channel's
-//     accesses (channel_of_line), and a barrier separates epochs. Shards
-//     share no state, so this is bit-identical to the serial engine — the
-//     same per-shard event sequences, merged in channel-id order — at any
-//     --jobs value, and the tier-1 tests compare the two engines' rendered
-//     tables byte for byte.
-//
-// replay_sweep remains cell-level parallelism (one serial replay per
+// replay_sweep adds cell-level parallelism (one single-worker replay per
 // encode-latency point) and shares a single read-only mapping of the
 // trace across all cells.
 #pragma once
@@ -49,13 +45,12 @@ struct TraceReplayConfig {
   double inter_arrival_ns = 10.0;
   /// Replay at most this many accesses (0 = the whole trace).
   u64 max_accesses = 0;
-  /// Sharded engine: accesses per epoch between barriers. With the RAS
-  /// layer off, results never depend on this (shards share nothing); it
-  /// only bounds how far shards drift apart in wall-clock and paces
-  /// progress ticks. With RAS enabled it is also the degradation control
-  /// interval — BOTH engines poll channel health and re-route traffic at
-  /// epoch boundaries only, so serial and sharded runs still agree at
-  /// every --jobs value for a fixed epoch length.
+  /// Accesses per epoch between barriers. With the RAS layer off, results
+  /// never depend on this (shards share nothing); it only bounds how far
+  /// shards drift apart in wall-clock and paces progress ticks. With RAS
+  /// enabled it is also the degradation control interval: channel health
+  /// is polled and traffic re-routed at epoch boundaries only, so a run
+  /// agrees with itself at every --jobs value for a fixed epoch length.
   u64 epoch_accesses = 1'000'000;
   /// Optional within-run progress sink (rate-limited ETA lines).
   ProgressReporter* progress = nullptr;
@@ -73,23 +68,12 @@ struct TraceReplayResult {
   [[nodiscard]] bool operator==(const TraceReplayResult&) const = default;
 };
 
-/// Replays a memory-mapped binary trace. The hot loop reads records in
-/// place; nothing is buffered or parsed.
-[[nodiscard]] TraceReplayResult replay_trace(const MappedTrace& trace,
-                                             const TraceReplayConfig& replay,
-                                             const MemSysConfig& mem);
-
-/// Replays an in-memory access vector (text-trace interop and tests).
-/// Identical semantics: the format a trace arrived in must not change the
-/// replayed statistics, and the round-trip test holds both paths to it.
-[[nodiscard]] TraceReplayResult replay_trace(std::span<const MemAccess> trace,
-                                             const TraceReplayConfig& replay,
-                                             const MemSysConfig& mem);
-
-/// Channel-sharded parallel replay: advances every shard concurrently on
+/// Replays a trace through one channel shard per channel, advanced on
 /// `jobs` workers (0 = one per hardware context) in epochs of
-/// `replay.epoch_accesses`. Bit-identical to replay_trace for every
-/// (trace, config, jobs) — see the engine contract above.
+/// `replay.epoch_accesses`. The mapped overload reads records in place,
+/// nothing buffered or parsed; the span overload serves text traces and
+/// tests. Both give the same result for the same accesses, and every
+/// (trace, config) gives the same result at every `jobs` value.
 [[nodiscard]] TraceReplayResult replay_trace_sharded(
     const MappedTrace& trace, const TraceReplayConfig& replay,
     const MemSysConfig& mem, usize jobs);
@@ -107,9 +91,10 @@ struct ReplaySweepCell {
 
 /// Replays one trace file across several encode-latency points, cells
 /// fanned out over `jobs` threads (0 = one per hardware context, 1 =
-/// serial). All cells read one shared read-only mapping of the trace and
-/// run private MemorySystems, so results are bit-identical for any `jobs`
-/// value. `progress` (nullable) gets one job_done line per finished cell.
+/// inline). All cells read one shared read-only mapping of the trace and
+/// each runs the engine on one worker with private shards, so results are
+/// bit-identical for any `jobs` value. `progress` (nullable) gets one
+/// job_done line per finished cell.
 [[nodiscard]] std::vector<ReplaySweepCell> replay_sweep(
     const std::string& trace_path,
     const std::vector<ReplaySweepCell>& cells,

@@ -10,9 +10,14 @@
 // a fixed-size pool. Structure nested parallelism as flat batches instead
 // (the experiment runner fans the benchmark x scheme cells out as one
 // batch for exactly this reason).
+//
+// Drivers whose batch may run on one worker hold `pool_for(workers)`:
+// no pool then, and `parallel_for(pool.get(), n, body)` runs the indices
+// inline on the caller, in order — one loop for every worker count.
 #pragma once
 
 #include <exception>
+#include <memory>
 #include <vector>
 
 #include "runner/thread_pool.hpp"
@@ -35,6 +40,21 @@ void parallel_for(ThreadPool& pool, usize count, F&& body) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+/// A pool of `workers` threads, or none when one worker suffices.
+[[nodiscard]] inline std::unique_ptr<ThreadPool> pool_for(usize workers) {
+  return workers > 1 ? std::make_unique<ThreadPool>(workers) : nullptr;
+}
+
+/// parallel_for on `pool`, or inline in index order when `pool` is null.
+template <typename F>
+void parallel_for(ThreadPool* pool, usize count, F&& body) {
+  if (pool == nullptr) {
+    for (usize i = 0; i < count; ++i) body(i);
+    return;
+  }
+  parallel_for(*pool, count, body);
 }
 
 }  // namespace nvmenc

@@ -1,10 +1,10 @@
 // The lifetime engine (DESIGN.md §13): keyed lognormal endurance draws,
 // retention drift vs scrub, wear-leveling translation bijectivity, the
 // endurance -> SAFER -> retirement escalation, and the acceptance
-// scenarios — aging-enabled serial vs sharded replay bit-identical at any
-// jobs count (rendered lifetime/RAS tables included), and run-to-failure
-// sustaining strictly more writes under READ+SAE's calibrated flip cost
-// than under RAW's write-every-cell cost.
+// scenarios — aging-enabled replay bit-identical to the serial reference
+// loop at any jobs count (rendered lifetime/RAS tables included), and
+// run-to-failure sustaining strictly more writes under READ+SAE's
+// calibrated flip cost than under RAW's write-every-cell cost.
 //
 // The fuzz case is fixed-seed and short for tier-1 ctest; CI's long mode
 // raises the budget via NVMENC_FUZZ_WRITES (see .github/workflows/ci.yml).
@@ -24,6 +24,7 @@
 #include "memsys/encode_cost.hpp"
 #include "memsys/report.hpp"
 #include "memsys/trace_replay.hpp"
+#include "reference_replay.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmenc {
@@ -193,7 +194,7 @@ TEST(ScrubDriftTest, ScrubIntervalTradesBandwidthAgainstDriftDamage) {
   const auto ras_at = [&](double scrub_ns) {
     MemSysConfig m = mem;
     m.ras.scrub_interval_ns = scrub_ns;
-    return replay_trace(stream, replay, m).ras.totals();
+    return replay_trace_sharded(stream, replay, m, 1).ras.totals();
   };
   const RasStats tight = ras_at(100.0);
   const RasStats unscrubbed = ras_at(0.0);
@@ -276,13 +277,13 @@ TEST(WearLevelTranslatorTest, ChannelLocalIndexRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial vs sharded with the full aging stack
+// Reference vs engine with the full aging stack
 
 TEST(LifetimeReplayTest, AgingReplayIsJobsInvariant) {
   // The ctest-enforced acceptance: endurance wear-out, drift, scrub, and a
-  // Start-Gap leveler all active — serial and sharded engines must agree
-  // bit for bit at every jobs count, rendered lifetime/RAS tables
-  // included, across epoch boundaries.
+  // Start-Gap leveler all active — the engine must agree with the serial
+  // reference loop bit for bit at every jobs count, rendered lifetime/RAS
+  // tables included, across epoch boundaries.
   const std::vector<MemAccess> stream = make_stream(21, 6000);
   TraceReplayConfig replay;
   replay.epoch_accesses = 1000;
@@ -301,7 +302,8 @@ TEST(LifetimeReplayTest, AgingReplayIsJobsInvariant) {
   mem.ras.lifetime.wl_interval = 16;
   mem.ras.lifetime.wl_region_lines = 64;
 
-  const TraceReplayResult serial = replay_trace(stream, replay, mem);
+  const TraceReplayResult serial =
+      testutil::replay_trace(stream, replay, mem);
   EXPECT_TRUE(serial.ras.lifetime_any());
   const LifetimeStats life = serial.ras.lifetime_totals();
   EXPECT_GT(life.wear_writes, 0u);
@@ -333,7 +335,8 @@ TEST(LifetimeReplayTest, AgingSurvivesAMidRunChannelKill) {
   mem.ras.lifetime.wl_interval = 8;
   mem.ras.lifetime.wl_region_lines = 32;
 
-  const TraceReplayResult serial = replay_trace(stream, replay, mem);
+  const TraceReplayResult serial =
+      testutil::replay_trace(stream, replay, mem);
   EXPECT_EQ(serial.ras.totals().degraded, 1u);
   for (usize jobs : {usize{1}, usize{2}, usize{4}}) {
     const TraceReplayResult sharded =
@@ -492,7 +495,7 @@ TEST(AgingConfigTest, UntilNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz: randomized aging configs, serial vs sharded
+// Fuzz: randomized aging configs, reference vs engine
 
 TEST(LifetimeFuzzTest, RandomAgingConfigsStayJobsInvariant) {
   Xoshiro256 rng{0x11fef022};
@@ -526,8 +529,9 @@ TEST(LifetimeFuzzTest, RandomAgingConfigsStayJobsInvariant) {
       mem.ras.kill_at_ns = 5'000.0 + 20'000.0 * rng.next_double();
     }
 
-    const TraceReplayResult serial = replay_trace(stream, replay, mem);
-    for (const usize jobs : {usize{2}, usize{4}}) {
+    const TraceReplayResult serial =
+        testutil::replay_trace(stream, replay, mem);
+    for (const usize jobs : {usize{1}, usize{2}, usize{4}}) {
       const TraceReplayResult sharded =
           replay_trace_sharded(stream, replay, mem, jobs);
       ASSERT_EQ(serial, sharded) << "iteration " << it << " jobs " << jobs;

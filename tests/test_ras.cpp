@@ -2,7 +2,8 @@
 // program-and-verify -> SAFER -> retirement escalation, scrub-on-read,
 // graceful channel degradation, and the acceptance scenario — killing one
 // channel mid-replay while survivors absorb the remapped traffic, with
-// serial and sharded engines bit-identical throughout.
+// the engine bit-identical to the serial reference loop at every jobs
+// count throughout.
 //
 // The fuzz case is fixed-seed and short for tier-1 ctest; CI's long mode
 // raises the budget via NVMENC_FUZZ_WRITES (see .github/workflows/ci.yml).
@@ -18,6 +19,7 @@
 #include "common/rng.hpp"
 #include "memsys/report.hpp"
 #include "memsys/trace_replay.hpp"
+#include "reference_replay.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmenc {
@@ -287,7 +289,8 @@ TEST(RasReplayTest, KillOneChannelMidReplayCompletesOnSurvivors) {
   mem.ras.kill_channel = 1;
   mem.ras.kill_at_ns = 20'000.0;  // a third of the way into the replay
 
-  const TraceReplayResult serial = replay_trace(stream, replay, mem);
+  const TraceReplayResult serial =
+      testutil::replay_trace(stream, replay, mem);
   // No crash, every access served, the victim reported degraded, and the
   // survivors absorbed remapped traffic.
   EXPECT_EQ(serial.accesses, stream.size());
@@ -311,7 +314,7 @@ TEST(RasReplayTest, KillOneChannelMidReplayCompletesOnSurvivors) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz: random fault configurations, serial vs sharded
+// Fuzz: random fault configurations, reference vs engine
 
 TEST(RasFuzzTest, RandomFaultConfigsStayJobsInvariant) {
   const u64 budget = fuzz_writes();
@@ -342,8 +345,9 @@ TEST(RasFuzzTest, RandomFaultConfigsStayJobsInvariant) {
           rng.next_below(mem.org.channels));
       mem.ras.kill_at_ns = 10'000.0 * rng.next_double();
     }
-    const TraceReplayResult serial = replay_trace(stream, replay, mem);
-    for (usize jobs : {usize{2}, usize{4}}) {
+    const TraceReplayResult serial =
+        testutil::replay_trace(stream, replay, mem);
+    for (usize jobs : {usize{1}, usize{2}, usize{4}}) {
       const TraceReplayResult sharded =
           replay_trace_sharded(stream, replay, mem, jobs);
       ASSERT_EQ(serial, sharded)

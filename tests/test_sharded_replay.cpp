@@ -1,8 +1,9 @@
-// Channel-sharded parallel replay vs the serial engine: the tentpole
+// The open-loop engine vs the serial MemorySystem loop it replaced: the
 // determinism contract. replay_trace_sharded promises results — every
-// counter, every histogram bucket, every float — bit-identical to
-// replay_trace, for every --jobs value and every epoch length, plus
-// byte-identical rendered tables (the output the user actually sees).
+// counter, every histogram bucket, every float — bit-identical to the
+// reference replay (tests/reference_replay.hpp) for every --jobs value and
+// every epoch length, plus byte-identical rendered tables (the output the
+// user actually sees).
 #include "memsys/trace_replay.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "memsys/report.hpp"
+#include "reference_replay.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
 
@@ -62,7 +64,8 @@ TEST_F(ShardedReplayTest, MatchesSerialEngineAtEveryJobsCount) {
   const MappedTrace trace{bin_path_};
   TraceReplayConfig replay;
   replay.epoch_accesses = 1000;  // several barriers over 6000 accesses
-  const TraceReplayResult serial = replay_trace(trace, replay, mem_);
+  const TraceReplayResult serial =
+      testutil::replay_trace(trace, replay, mem_);
   for (usize jobs : {usize{1}, usize{2}, usize{4}}) {
     const TraceReplayResult sharded =
         replay_trace_sharded(trace, replay, mem_, jobs);
@@ -101,7 +104,7 @@ TEST_F(ShardedReplayTest, SingleChannelDegeneratesToSerial) {
   const TraceReplayConfig replay;
   MemSysConfig one = mem_;
   one.org.channels = 1;
-  EXPECT_EQ(replay_trace(trace, replay, one),
+  EXPECT_EQ(testutil::replay_trace(trace, replay, one),
             replay_trace_sharded(trace, replay, one, 4));
 }
 
@@ -109,7 +112,8 @@ TEST_F(ShardedReplayTest, MaxAccessesCapsBothEnginesAlike) {
   const MappedTrace trace{bin_path_};
   TraceReplayConfig replay;
   replay.max_accesses = 321;
-  const TraceReplayResult serial = replay_trace(trace, replay, mem_);
+  const TraceReplayResult serial =
+      testutil::replay_trace(trace, replay, mem_);
   const TraceReplayResult sharded =
       replay_trace_sharded(trace, replay, mem_, 4);
   EXPECT_EQ(serial, sharded);
@@ -135,7 +139,8 @@ TEST_F(ShardedReplayTest, FaultInjectionStaysJobsInvariant) {
   mem_.ras.inject.stuck_rate = 1e-4;
   mem_.ras.inject.seed = 9;
   mem_.ras.scrub_interval_ns = 2'000.0;
-  const TraceReplayResult serial = replay_trace(trace, replay, mem_);
+  const TraceReplayResult serial =
+      testutil::replay_trace(trace, replay, mem_);
   EXPECT_TRUE(serial.ras.any());
   for (usize jobs : {usize{1}, usize{2}, usize{4}}) {
     const TraceReplayResult sharded =
@@ -155,7 +160,7 @@ TEST_F(ShardedReplayTest, FaultInjectionStaysJobsInvariant) {
 TEST_F(ShardedReplayTest, RasOffLeavesTheReportEmpty) {
   const MappedTrace trace{bin_path_};
   const TraceReplayConfig replay;
-  const TraceReplayResult r = replay_trace(trace, replay, mem_);
+  const TraceReplayResult r = replay_trace_sharded(trace, replay, mem_, 1);
   EXPECT_FALSE(r.ras.any());
   EXPECT_TRUE(r.ras.events.empty());
 }

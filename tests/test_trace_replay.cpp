@@ -59,8 +59,8 @@ TEST_F(TraceReplayTest, RepeatedRunsAreBitIdentical) {
   const MappedTrace trace{bin_path_};
   const TraceReplayConfig replay;
   const MemSysConfig mem;
-  const TraceReplayResult a = replay_trace(trace, replay, mem);
-  const TraceReplayResult b = replay_trace(trace, replay, mem);
+  const TraceReplayResult a = replay_trace_sharded(trace, replay, mem, 1);
+  const TraceReplayResult b = replay_trace_sharded(trace, replay, mem, 1);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.accesses, stream_.size());
   EXPECT_GT(a.stats.reads + a.stats.writes, 0u);
@@ -79,8 +79,10 @@ TEST_F(TraceReplayTest, BinaryAndTextArrivalsReplayIdentically) {
   const TraceReplayConfig replay;
   const MemSysConfig mem;
   const MappedTrace trace{bin_path_};
-  const TraceReplayResult from_binary = replay_trace(trace, replay, mem);
-  const TraceReplayResult from_text = replay_trace(reread, replay, mem);
+  const TraceReplayResult from_binary =
+      replay_trace_sharded(trace, replay, mem, 1);
+  const TraceReplayResult from_text =
+      replay_trace_sharded(reread, replay, mem, 1);
   EXPECT_EQ(from_binary, from_text);
 }
 
@@ -89,7 +91,7 @@ TEST_F(TraceReplayTest, MaxAccessesCapsTheReplay) {
   TraceReplayConfig replay;
   replay.max_accesses = 100;
   const MemSysConfig mem;
-  const TraceReplayResult r = replay_trace(trace, replay, mem);
+  const TraceReplayResult r = replay_trace_sharded(trace, replay, mem, 1);
   EXPECT_EQ(r.accesses, 100u);
   EXPECT_EQ(r.stats.reads + r.stats.writes, 100u);
 }
@@ -136,9 +138,9 @@ TEST_F(TraceReplayTest, OpenLoopIgnoresBackpressure) {
   TraceReplayConfig replay;
   replay.inter_arrival_ns = 1.0;
   const MemSysConfig mem;
-  const TraceReplayResult hot = replay_trace(trace, replay, mem);
+  const TraceReplayResult hot = replay_trace_sharded(trace, replay, mem, 1);
   replay.inter_arrival_ns = 1000.0;
-  const TraceReplayResult cold = replay_trace(trace, replay, mem);
+  const TraceReplayResult cold = replay_trace_sharded(trace, replay, mem, 1);
   EXPECT_GT(hot.stats.read_latency_ns.p99(),
             cold.stats.read_latency_ns.p99());
 }

@@ -318,7 +318,7 @@ inline std::vector<Flag> flag_table(Cli& c) {
       {"wl-region", number(life.wl_region_lines), kOneScheme,
        "lines per wear-leveling region", {"wear-leveler"}},
       {"lifetime-seed", number(life.seed), kOneScheme, "endurance/drift seed"},
-      // Run to failure: one serial loop over the workload.
+      // Run to failure: the open-loop engine at one worker.
       {"run-to-failure", toggle(), kAging, "loop the workload until it fails"},
       {"max-passes", number(c.aging.max_passes), kAging, "pass budget"},
       {"capacity-floor", number(c.aging.capacity_floor), kAging,

@@ -316,10 +316,10 @@ int cmd_replay_sweep(const Cli& cli) {
 int cmd_replay_memsys(const Cli& cli) {
   const MemSysConfig mem = one_scheme_memsys(cli, scheme_by_name(cli.scheme));
   if (cli.mode == kMemsysAging) {
-    // Accelerated aging: loop the trace until the failure condition. The
-    // loop is serial (one long causal chain), so the whole trace is
-    // materialized rather than mmap'd — run-to-failure geometries are
-    // small by design.
+    // Accelerated aging: loop the trace until the failure condition, on
+    // the open-loop engine at one worker. The whole trace is read into
+    // memory rather than mmap'd — run-to-failure geometries are small by
+    // design.
     const AgingResult r = run_to_failure(read_any_trace(cli), cli.aging, mem);
     print_aging(cli.aging, r);
     print_ras(r.ras);
@@ -329,21 +329,13 @@ int cmd_replay_memsys(const Cli& cli) {
   ProgressReporter progress{&std::cerr};
   TraceReplayConfig replay = cli.replay;
   replay.progress = &progress;
-  // Multi-channel single replay parallelizes over channel shards; the
-  // serial and sharded engines produce bit-identical tables, so the
-  // choice is purely a wall-clock one.
-  const usize jobs = cli.experiment.jobs;
-  const bool shard_it = resolve_jobs(jobs) > 1 && mem.org.channels > 1;
-  TraceReplayResult r;
-  if (cli.format == TraceFormat::kText) {
-    const std::vector<MemAccess> accesses = read_text_trace(cli.in);
-    r = shard_it ? replay_trace_sharded(accesses, replay, mem, jobs)
-                 : replay_trace(accesses, replay, mem);
-  } else {
-    const MappedTrace trace{cli.in};
-    r = shard_it ? replay_trace_sharded(trace, replay, mem, jobs)
-                 : replay_trace(trace, replay, mem);
-  }
+  // One engine at every --jobs: the worker count moves only wall-clock.
+  const TraceReplayResult r =
+      cli.format == TraceFormat::kText
+          ? replay_trace_sharded(read_text_trace(cli.in), replay, mem,
+                                 cli.experiment.jobs)
+          : replay_trace_sharded(MappedTrace{cli.in}, replay, mem,
+                                 cli.experiment.jobs);
   replay_table(cli.in, mem.org.encode_latency_ns, replay, r)
       .print(std::cout);
   print_ras(r.ras);
