@@ -1,12 +1,12 @@
 // Shared plumbing for the bench binaries.
 //
-// Each binary under bench/ regenerates figures, tables or sweeps of the
-// evaluation (see DESIGN.md §4): paper_claims prints Figures 2 and 9-12
-// from one matrix, and most others one figure, table or sweep each. They
+// Each binary under bench/ regenerates part of the evaluation (see
+// DESIGN.md §4): paper_claims every functional-simulator figure, table and
+// ablation from shared traces, the others one sweep or gate each. They
 // print the rows/series the figures plot and, with --csv=<dir>, mirror
 // each table to CSV for re-plotting. --quick shrinks the simulated window
 // for smoke runs; --json=<file> is honoured by the binaries that write a
-// results/BENCH_*.json document.
+// results/BENCH_*.json document and rejected by the others.
 #pragma once
 
 #include <algorithm>
@@ -30,22 +30,27 @@ struct Options {
   usize jobs = 0;  // matrix workers; 0 = one per hardware context
 };
 
-/// Exits 2 naming the option at fault.
-inline Options parse_options(int argc, char** argv) try {
+/// Exits 2 naming the option at fault; `--json=` is one unless
+/// `writes_json`.
+inline Options parse_options(int argc, char** argv, bool writes_json) try {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--csv=", 0) == 0) {
       opt.csv_dir = arg.substr(6);
-    } else if (arg.rfind("--json=", 0) == 0) {
+    } else if (arg.rfind("--json=", 0) == 0 && writes_json) {
       opt.json_path = arg.substr(7);
+    } else if (arg.rfind("--json=", 0) == 0) {
+      throw std::invalid_argument{"'--json' is not an option of " +
+                                  std::string{argv[0]} +
+                                  ": it writes no JSON"};
     } else if (arg.rfind("--jobs=", 0) == 0) {
       opt.jobs = parse_number<usize>("--jobs", arg.substr(7));
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv=<dir>] [--json=<file>] [--jobs=<n>]\n";
+      std::cout << "usage: " << argv[0] << " [--quick] [--csv=<dir>]"
+                << (writes_json ? " [--json=<file>]" : "") << " [--jobs=<n>]\n";
       std::exit(0);
     } else {
       throw std::invalid_argument{"unknown option: " + arg};
@@ -55,6 +60,20 @@ inline Options parse_options(int argc, char** argv) try {
 } catch (const std::invalid_argument& e) {
   std::cerr << e.what() << "\n";
   std::exit(2);
+}
+
+/// The main of every bench that takes Options: a bad option exits 2
+/// naming it (parse_options), and whatever `run` throws, say an unwritable
+/// --csv directory, prints `error: <what>` and exits 1.
+template <typename Run>
+int run_main(int argc, char** argv, Run run, bool writes_json = false) {
+  const Options opt = parse_options(argc, argv, writes_json);
+  try {
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 /// The evaluation configuration every figure uses: the Table 2 hierarchy
@@ -68,6 +87,28 @@ inline ExperimentConfig figure_config(const Options& opt) {
   cfg.seed = 42;
   cfg.jobs = opt.jobs;
   return cfg;
+}
+
+/// The sequential-flip value mix: `complement_share` of the word slots
+/// complement their old value (Section 3.2's case for SAE), the rest
+/// follow a fixed mix at moderate dirtiness, so fine and coarse
+/// granularities are both in play.
+inline WorkloadProfile seqflip_profile(double complement_share) {
+  WorkloadProfile p;
+  p.name = "seqflip-" + TextTable::fmt(complement_share, 2);
+  p.dirty_word_pmf = {0.10, 0.20, 0.20, 0.15, 0.10, 0.10, 0.05, 0.05, 0.05};
+  const double rest = 1.0 - complement_share;
+  p.mix = {.complement = complement_share,
+           .zero = 0.10 * rest,
+           .ones = 0.02 * rest,
+           .small_int = 0.23 * rest,
+           .pointer = 0.20 * rest,
+           .float_pert = 0.15 * rest,
+           .random = 0.30 * rest};
+  p.working_set_lines = usize{1} << 14;
+  p.zero_word_bias = 0.3;
+  p.validate();
+  return p;
 }
 
 inline void emit(const TextTable& table, const Options& opt,

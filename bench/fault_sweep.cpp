@@ -20,11 +20,10 @@
 #include "bench_util.hpp"
 #include "runner/parallel_runner.hpp"
 
-using namespace nvmenc;
+namespace nvmenc {
+namespace {
 
-int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_options(argc, argv);
-
+int run(const bench::Options& opt) {
   const std::vector<std::string> benchmark_names{"gcc", "sjeng", "milc"};
   std::vector<WorkloadProfile> profiles;
   for (const std::string& name : benchmark_names) {
@@ -99,4 +98,11 @@ int main(int argc, char** argv) {
   std::cout << "\nresilience events:\n";
   bench::emit(events, opt, "fault_sweep_events");
   return 0;
+}
+
+}  // namespace
+}  // namespace nvmenc
+
+int main(int argc, char** argv) {
+  return nvmenc::bench::run_main(argc, argv, nvmenc::run);
 }

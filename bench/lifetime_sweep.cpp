@@ -20,11 +20,11 @@
 // FNW flips less than READ+SAE (Figure 9, checked by bench/paper_claims),
 // so a lifetime sweep there would invert the paper's headline. The ordering
 // the paper claims is realized in the sequential-flip regime its §3.2
-// motivates SAE with (bench/ablation_sequential_flips: READ+SAE crosses
-// below FNW as the complement-slot share grows, hardware crossover near
-// 0.85). The wear ladder is therefore calibrated on a 0.90-complement-
-// share value mix — the workload class the paper's lifetime argument is
-// actually about.
+// motivates SAE with (bench/paper_claims' sequential-flip sweep: READ+SAE
+// crosses below FNW as the complement-slot share grows, hardware crossover
+// near 0.85). The wear ladder is therefore calibrated on
+// bench::seqflip_profile(0.90) — the workload class the paper's lifetime
+// argument is actually about.
 //
 // Deterministic: cells are independent (config, seed) simulations fanned
 // over a ThreadPool and collected in plan order — identical output for
@@ -63,27 +63,6 @@ struct LifeCell {
   double wear_per_write = 0.0;
   AgingResult result;
 };
-
-/// Sequential-flip value mix (the shape bench/ablation_sequential_flips
-/// sweeps), pinned past the hardware FNW / READ+SAE crossover.
-WorkloadProfile seqflip_profile() {
-  WorkloadProfile p;
-  p.name = "seqflip-0.90";
-  p.dirty_word_pmf = {0.10, 0.20, 0.20, 0.15, 0.10, 0.10, 0.05, 0.05, 0.05};
-  const double share = 0.90;
-  const double rest = 1.0 - share;
-  p.mix = {.complement = share,
-           .zero = 0.10 * rest,
-           .ones = 0.02 * rest,
-           .small_int = 0.23 * rest,
-           .pointer = 0.20 * rest,
-           .float_pert = 0.15 * rest,
-           .random = 0.30 * rest};
-  p.working_set_lines = usize{1} << 14;
-  p.zero_word_bias = 0.3;
-  p.validate();
-  return p;
-}
 
 /// Shortest round-trippable decimal form, locale-independent.
 std::string jnum(double v) {
@@ -186,7 +165,7 @@ int run(const bench::Options& opt) {
       {"READ+SAE", Scheme::kReadSae, 0.0},
   };
 
-  const WorkloadProfile value_mix = seqflip_profile();
+  const WorkloadProfile value_mix = bench::seqflip_profile(0.90);
   std::vector<LifeCell> cells(points.size());
   ThreadPool pool{resolve_jobs(opt.jobs)};
   parallel_for(pool, points.size(), [&](usize i) {
@@ -252,10 +231,6 @@ int run(const bench::Options& opt) {
 }  // namespace nvmenc
 
 int main(int argc, char** argv) {
-  try {
-    return nvmenc::run(nvmenc::bench::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  return nvmenc::bench::run_main(argc, argv, nvmenc::run,
+                                 /*writes_json=*/true);
 }

@@ -19,8 +19,7 @@
 #include "nvm/controller.hpp"
 #include "runner/parallel_runner.hpp"
 
-using namespace nvmenc;
-
+namespace nvmenc {
 namespace {
 
 CacheLine random_line(Xoshiro256& rng) {
@@ -106,11 +105,7 @@ SweepOutcome sweep_scheme(Scheme scheme, u64 samples) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_options(argc, argv);
-
+int run(const bench::Options& opt) {
   bench::banner("power-failure sweep: old-or-new coverage and log cost");
 
   TextTable outcomes{{"scheme", "pulses", "cuts", "roll-fwd", "roll-back",
@@ -167,4 +162,11 @@ int main(int argc, char** argv) {
   std::cout << "\natomic-commit overhead vs the unprotected run:\n";
   bench::emit(cost, opt, "powerfail_cost");
   return 0;
+}
+
+}  // namespace
+}  // namespace nvmenc
+
+int main(int argc, char** argv) {
+  return nvmenc::bench::run_main(argc, argv, nvmenc::run);
 }

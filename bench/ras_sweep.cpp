@@ -226,10 +226,6 @@ int run(const bench::Options& opt) {
 }  // namespace nvmenc
 
 int main(int argc, char** argv) {
-  try {
-    return nvmenc::run(nvmenc::bench::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  return nvmenc::bench::run_main(argc, argv, nvmenc::run,
+                                 /*writes_json=*/true);
 }

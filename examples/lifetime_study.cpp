@@ -55,9 +55,9 @@ int main() {
   // Note the honest twist: encoders that concentrate flip activity on a
   // few tag cells (READ+SAE) can see their FIRST cell fail sooner than
   // DCW even while flipping fewer bits in total -- per-cell endurance is
-  // the binding limit (bench/ablation_meta_wear). Fixed-tag schemes like
-  // Flip-N-Write spread tag wear across 64 cells and extend first-failure
-  // markedly.
+  // the binding limit (bench/paper_claims, metadata wear). Fixed-tag
+  // schemes like Flip-N-Write spread tag wear across 64 cells and extend
+  // first-failure markedly.
   TextTable table{{"scheme", "writes until first cell failure", "vs DCW"}};
   const u64 dcw_life = writes_until_failure(Scheme::kDcw, endurance, cap);
   for (Scheme scheme :

@@ -45,7 +45,7 @@ struct AdaptiveConfig {
   /// by a per-line write counter stored in the metadata. Costs
   /// kRotationBits of extra metadata and a ~1-bit/write counter update,
   /// and spreads tag-cell wear across the whole budget — the fix for the
-  /// metadata-wear concentration measured in bench/ablation_meta_wear.
+  /// metadata-wear concentration bench/paper_claims measures.
   bool rotate_tags = false;
   /// SIMD tier for the shared-cost kernels. Unset (the default) captures
   /// the process default (default_simd_tier()) at construction; set it to

@@ -16,8 +16,8 @@
 //
 // The scheme is exposed through the standard Encoder interface so the
 // whole evaluation stack (controller, replay, figures) can run on
-// encrypted memory; bench/encryption_study quantifies how much of the
-// encoders' advantage encryption destroys and DEUCE recovers.
+// encrypted memory; bench/paper_claims' encryption section quantifies how
+// much of the encoders' advantage encryption destroys and DEUCE recovers.
 #pragma once
 
 #include "encoding/encoder.hpp"

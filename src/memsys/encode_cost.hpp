@@ -85,7 +85,8 @@ struct SchemeWriteCost {
 /// Same calibration against an explicit profile object, for callers that
 /// synthesize a value mix instead of naming a SPEC stand-in (e.g. the
 /// lifetime sweep's sequential-flip regime, where the paper's headline
-/// scheme ordering is realized — see bench/ablation_sequential_flips).
+/// scheme ordering is realized — see bench/paper_claims' sequential-flip
+/// sweep).
 [[nodiscard]] SchemeWriteCost calibrate_write_cost(
     Scheme scheme, const WorkloadProfile& profile, u64 seed,
     usize sample_lines = 96, usize writes_per_line = 4);

@@ -97,7 +97,7 @@ struct LoadResult {
 inline constexpr double kCpuGapNs = 20.0;
 
 /// Single-CPU closed loop over a recorded request stream (the model
-/// behind `nvmenc perf` and bench/perf_overhead, which check the paper's
+/// behind `nvmenc perf` and bench/paper_claims, which checks the paper's
 /// §3.4.2 claim that a 3.47 ns encode is performance-neutral). The CPU
 /// spends kCpuGapNs before each request, in order. A read blocks it until
 /// the data returns; a write blocks it only until the write queue accepts

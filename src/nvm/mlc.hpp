@@ -12,7 +12,7 @@
 //
 // This model maps the stored image's bit pairs onto Gray-coded states and
 // prices each write as the sum of per-cell transition energies, giving
-// the bench/ablation_mlc experiment: does a flip-minimizing encoder stay
+// bench/paper_claims' MLC section: does a flip-minimizing encoder stay
 // effective when cost is transition-based?
 #pragma once
 

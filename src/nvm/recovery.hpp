@@ -9,7 +9,7 @@
 //
 // This layer mediates data-region faults only: the encoder's metadata
 // region is assumed fault-free here (its wear is studied separately in
-// bench/ablation_meta_wear).
+// bench/paper_claims' metadata-wear section).
 #pragma once
 
 #include <optional>

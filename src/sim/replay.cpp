@@ -109,7 +109,20 @@ ReplayResult replay_scheme(const WritebackTrace& trace, Scheme scheme,
     // Idealized accounting has no device, hence no cells to misbehave.
     return replay_paper_model(trace, scheme, energy, cancel);
   }
-  EncoderPtr encoder = make_encoder(scheme);
+  ReplayResult result = replay_encoder(
+      trace, [scheme] { return make_encoder(scheme); },
+      charges_encode_logic(scheme), energy, fault, fault_seed_salt, cancel);
+  result.scheme = scheme_name(scheme);
+  return result;
+}
+
+ReplayResult replay_encoder(const WritebackTrace& trace,
+                            const EncoderFactory& make,
+                            bool charge_encode_logic,
+                            const EnergyParams& energy, const FaultPlan& fault,
+                            u64 fault_seed_salt,
+                            const CancellationToken* cancel) {
+  EncoderPtr encoder = make();
   const Encoder* enc = encoder.get();
 
   std::optional<FaultInjector> injector;
@@ -132,7 +145,7 @@ ReplayResult replay_scheme(const WritebackTrace& trace, Scheme scheme,
 
   ControllerConfig config;
   config.energy = energy;
-  config.charge_encode_logic = charges_encode_logic(scheme);
+  config.charge_encode_logic = charge_encode_logic;
   // Atomicity alone does not imply verify reads: an atomic-only plan runs
   // the plain differential store inside the commit protocol.
   config.verify.program_and_verify =
@@ -153,8 +166,7 @@ ReplayResult replay_scheme(const WritebackTrace& trace, Scheme scheme,
   // Warm-up pass on a throwaway controller sharing the device: brings
   // stored images, tags and flags to steady state.
   {
-    MemoryController warmup{config, make_encoder(scheme), device, nullptr,
-                            fault_state};
+    MemoryController warmup{config, make(), device, nullptr, fault_state};
     write_all(warmup, trace.warmup, cancel);
   }
 
@@ -165,7 +177,7 @@ ReplayResult replay_scheme(const WritebackTrace& trace, Scheme scheme,
 
   ReplayResult result;
   result.benchmark = trace.benchmark;
-  result.scheme = scheme_name(scheme);
+  result.scheme = enc->name();
   result.stats = controller.stats();
   result.meta_bits = controller.encoder().meta_bits();
   result.device_flips = device.total_flips() - flips_before;

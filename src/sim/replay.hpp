@@ -7,6 +7,7 @@
 // comparable the way Section 4.2.2 compares them).
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "common/cancel.hpp"
@@ -56,6 +57,22 @@ struct ReplayResult {
 /// interrupt as a cell failure).
 [[nodiscard]] ReplayResult replay_scheme(
     const WritebackTrace& trace, Scheme scheme, const EnergyParams& energy = {},
+    const FaultPlan& fault = {}, u64 fault_seed_salt = 0,
+    const CancellationToken* cancel = nullptr);
+
+/// Builds one encoder: replay_encoder calls it once for the warm-up
+/// controller and once for the measured one.
+using EncoderFactory = std::function<EncoderPtr()>;
+
+/// replay_scheme's device path for an encoder that is not a registry
+/// scheme, e.g. READ+SAE at another tag budget or FNW stacked over DEUCE;
+/// replay_scheme runs every hardware scheme through it. The encoders `make`
+/// builds must be interchangeable (stored state lives in the cells), and
+/// `charge_encode_logic` adds the encode energy to every non-silent write.
+/// The result's `scheme` is the encoder's name().
+[[nodiscard]] ReplayResult replay_encoder(
+    const WritebackTrace& trace, const EncoderFactory& make,
+    bool charge_encode_logic = false, const EnergyParams& energy = {},
     const FaultPlan& fault = {}, u64 fault_seed_salt = 0,
     const CancellationToken* cancel = nullptr);
 

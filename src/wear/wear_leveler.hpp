@@ -5,7 +5,7 @@
 // Start-Gap, Security Refresh and HWL). This module provides that
 // substrate: the Start-Gap and Security Refresh algorithms as real
 // line-remapping machines plus an ideal leveler, so the assumption itself
-// can be validated (bench/ablation_wear_leveling).
+// can be validated (bench/paper_claims' wear-leveling section).
 //
 // A WearLeveler observes the write stream (line address, cell flips) the
 // memory controller emits, maintains a logical-to-physical mapping over a

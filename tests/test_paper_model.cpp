@@ -178,7 +178,7 @@ TEST(PaperModelAfnw, CompressionAgainstPlainOldCostsLayoutChange) {
   EXPECT_LT(fb2.total(), dcw2);  // the 4-bit payload is cheap to place...
   // ...yet the stateful encoder (compressed image persists) is cheaper
   // still on the *next* compressible update. The divergence between the
-  // two accountings is covered by bench/ablation_read_sae table (c).
+  // two accountings is bench/paper_claims' clean-word bookkeeping table.
 }
 
 TEST(PaperModel, NeverWorseThanTagFreeDcwPlusMeta) {
