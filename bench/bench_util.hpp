@@ -1,21 +1,24 @@
 // Shared plumbing for the bench binaries.
 //
-// Each binary under bench/ regenerates part of the evaluation (see
-// DESIGN.md §4): paper_claims every functional-simulator figure, table and
-// ablation from shared traces, the others one sweep or gate each. They
-// print the rows/series the figures plot and, with --csv=<dir>, mirror
-// each table to CSV for re-plotting. --quick shrinks the simulated window
-// for smoke runs; --json=<file> is honoured by the binaries that write a
-// results/BENCH_*.json document and rejected by the others.
+// bench/paper_claims regenerates every study of the evaluation (see
+// DESIGN.md §4) from one run; the others are the perf gates. It prints the
+// rows/series the figures plot and, with --csv=<dir>, mirrors each table
+// to CSV for re-plotting; with --json=<dir> it writes the
+// results/BENCH_*.json documents (json_file.hpp). --quick shrinks the
+// simulated window for smoke runs.
 #pragma once
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "common/parse_number.hpp"
 #include "common/table.hpp"
@@ -24,33 +27,42 @@
 namespace nvmenc::bench {
 
 struct Options {
-  std::string csv_dir;    // empty = no CSV output
-  std::string json_path;  // empty = no JSON output
+  std::string csv_dir;   // empty = no CSV output
+  std::string json_dir;  // empty = no JSON output
   bool quick = false;
   usize jobs = 0;  // matrix workers; 0 = one per hardware context
 };
 
-/// Exits 2 naming the option at fault; `--json=` is one unless
-/// `writes_json`.
-inline Options parse_options(int argc, char** argv, bool writes_json) try {
+/// `dir`, the value of output-directory option `flag`, unless it is not an
+/// existing directory this process can write; then throws naming both, so
+/// a run cannot fail on its output after the work is done.
+inline std::string output_dir(const std::string& flag,
+                              const std::string& dir) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec) ||
+      access(dir.c_str(), W_OK) != 0) {
+    throw std::invalid_argument{"invalid value for '" + flag + "': '" + dir +
+                                "' (not a writable directory)"};
+  }
+  return dir;
+}
+
+/// Exits 2 naming the option at fault.
+inline Options parse_options(int argc, char** argv) try {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--csv=", 0) == 0) {
-      opt.csv_dir = arg.substr(6);
-    } else if (arg.rfind("--json=", 0) == 0 && writes_json) {
-      opt.json_path = arg.substr(7);
+      opt.csv_dir = output_dir("--csv", arg.substr(6));
     } else if (arg.rfind("--json=", 0) == 0) {
-      throw std::invalid_argument{"'--json' is not an option of " +
-                                  std::string{argv[0]} +
-                                  ": it writes no JSON"};
+      opt.json_dir = output_dir("--json", arg.substr(7));
     } else if (arg.rfind("--jobs=", 0) == 0) {
       opt.jobs = parse_number<usize>("--jobs", arg.substr(7));
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--quick] [--csv=<dir>]"
-                << (writes_json ? " [--json=<file>]" : "") << " [--jobs=<n>]\n";
+      std::cout << "usage: " << argv[0]
+                << " [--quick] [--csv=<dir>] [--json=<dir>] [--jobs=<n>]\n";
       std::exit(0);
     } else {
       throw std::invalid_argument{"unknown option: " + arg};
@@ -62,12 +74,12 @@ inline Options parse_options(int argc, char** argv, bool writes_json) try {
   std::exit(2);
 }
 
-/// The main of every bench that takes Options: a bad option exits 2
-/// naming it (parse_options), and whatever `run` throws, say an unwritable
-/// --csv directory, prints `error: <what>` and exits 1.
+/// The main of a bench that takes Options: a bad option exits 2 naming it
+/// (parse_options), and whatever `run` throws prints `error: <what>` and
+/// exits 1.
 template <typename Run>
-int run_main(int argc, char** argv, Run run, bool writes_json = false) {
-  const Options opt = parse_options(argc, argv, writes_json);
+int run_main(int argc, char** argv, Run run) {
+  const Options opt = parse_options(argc, argv);
   try {
     return run(opt);
   } catch (const std::exception& e) {

@@ -1,4 +1,4 @@
-// Paper claims: every functional-simulator figure, table and ablation of
+// Paper claims: every figure, table, ablation and robustness sweep of
 // EXPERIMENTS.md from one run, followed by a table that checks every
 // qualitative claim EXPERIMENTS.md makes about them.
 //
@@ -20,10 +20,12 @@
 // hardware-faithful stateful encoders.
 //
 // The sections that follow (paper_claims.hpp) print Figure 3, Figure 5
-// with Table 1, Section 3.4's overheads and our ablations over the same
-// run: they share its worker pool, read the matrix's cells where they
-// replay the same trace, and collect every other trace once per (profile,
-// seed, window).
+// with Table 1, Section 3.4's overheads, our ablations and the robustness
+// sweeps (faults, power cuts, the memory system under load, under faults
+// and to wear-out) over the same run: they share its worker pool, read the
+// matrix's cells where they replay the same trace, and collect every other
+// trace once per (profile, seed, window). --json=<dir> receives the
+// memory-system sweeps' results/BENCH_*.json.
 //
 // The claims table states the documented non-reproductions as measured
 // facts too. A model change that flips any verdict exits 1, including one
@@ -296,7 +298,7 @@ int run(const bench::Options& opt) {
   for (const auto section :
        {fig3, fig5_table1, overheads, perf_overhead, read_sae_ablation,
         sequential_flips, meta_wear, mixes, mlc, encryption, compression,
-        wear_leveling}) {
+        wear_leveling, faults, power_failure, saturation, ras, lifetime}) {
     section(study, claims);
   }
 

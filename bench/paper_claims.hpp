@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -101,12 +102,16 @@ struct Study {
 };
 
 /// `cell(r, c)` for every row r < `rows` and column c < `cols`, over the
-/// study's workers; the results in row-major order.
+/// study's workers; the results in row-major order. T need not be
+/// default-constructible (an ExperimentMatrix is not).
 template <typename T, typename Cell>
 std::vector<T> grid(const Study& study, usize rows, usize cols, Cell cell) {
-  std::vector<T> out(rows * cols);
-  parallel_for(study.pool, out.size(),
-               [&](usize i) { out[i] = cell(i / cols, i % cols); });
+  std::vector<std::optional<T>> cells(rows * cols);
+  parallel_for(study.pool, cells.size(),
+               [&](usize i) { cells[i].emplace(cell(i / cols, i % cols)); });
+  std::vector<T> out;
+  out.reserve(cells.size());
+  for (std::optional<T>& c : cells) out.push_back(std::move(*c));
   return out;
 }
 
@@ -125,5 +130,15 @@ void mlc(const Study& study, Claims& claims);
 void encryption(const Study& study, Claims& claims);
 void compression(const Study& study, Claims& claims);
 void wear_leveling(const Study& study, Claims& claims);
+
+// Robustness studies (paper_claims_robustness.cpp): write faults and power
+// cuts on the functional path, then the memory system under load, under
+// faults and to wear-out. The last three write results/BENCH_*.json under
+// --json=<dir>.
+void faults(const Study& study, Claims& claims);
+void power_failure(const Study& study, Claims& claims);
+void saturation(const Study& study, Claims& claims);
+void ras(const Study& study, Claims& claims);
+void lifetime(const Study& study, Claims& claims);
 
 }  // namespace nvmenc::paper

@@ -17,8 +17,8 @@
 // the retirement), but across channels only through the degraded-channel
 // routing mask and the stop rule, which act at epoch boundaries alone —
 // exactly what the engine's epoch schedule models. run_to_failure runs
-// it on one worker; parallelism belongs one level up —
-// bench/lifetime_sweep fans independent (scheme, seed) cells over a
+// it on one worker; parallelism belongs one level up — the lifetime
+// section of bench/paper_claims fans independent per-scheme cells over a
 // thread pool.
 #pragma once
 

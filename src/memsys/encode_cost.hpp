@@ -20,8 +20,9 @@
 // latency to host noise. Energy, by contrast, IS calibrated from the real
 // encoders: calibrate_write_cost replays a seeded sample of line
 // transitions through the scheme's encoder and averages the measured
-// SET/RESET flips, so the sweep's energy column reflects actual encoding
-// behaviour rather than a constant.
+// SET/RESET flips, so the saturation sweep's energy column (in
+// bench/paper_claims) reflects actual encoding behaviour rather than a
+// constant.
 #pragma once
 
 #include <string>
@@ -84,9 +85,9 @@ struct SchemeWriteCost {
 
 /// Same calibration against an explicit profile object, for callers that
 /// synthesize a value mix instead of naming a SPEC stand-in (e.g. the
-/// lifetime sweep's sequential-flip regime, where the paper's headline
-/// scheme ordering is realized — see bench/paper_claims' sequential-flip
-/// sweep).
+/// sequential-flip regime of bench/paper_claims' lifetime section, where
+/// the paper's headline scheme ordering is realized — see its
+/// sequential-flip sweep).
 [[nodiscard]] SchemeWriteCost calibrate_write_cost(
     Scheme scheme, const WorkloadProfile& profile, u64 seed,
     usize sample_lines = 96, usize writes_per_line = 4);

@@ -7,7 +7,6 @@
 
 #include "memsys/encode_cost.hpp"
 #include "memsys/loadgen.hpp"
-#include "memsys/sweep.hpp"
 
 namespace nvmenc {
 namespace {
@@ -520,35 +519,6 @@ TEST(EncodeCost, CalibrationIsDeterministicAndSane) {
             a.write_pj(EnergyParams{}, false));
   EXPECT_THROW((void)calibrate_write_cost(Scheme::kReadSaePaper, "gcc", 42),
                std::invalid_argument);
-}
-
-TEST(Sweep, JobsDoNotChangeResults) {
-  SweepConfig cfg;
-  cfg.load.requests = 2000;
-  cfg.load.footprint_lines = 2048;
-  cfg.load.users = 8;
-  cfg.mem = small_config();
-  cfg.think_points = {400.0, 50.0};
-  cfg.schemes = {{Scheme::kDcw, EncodeLatencyModel::kPaper},
-                 {Scheme::kReadSae, EncodeLatencyModel::kMeasured}};
-  cfg.jobs = 1;
-  const std::vector<SweepCell> serial = run_saturation_sweep(cfg);
-  cfg.jobs = 4;
-  const std::vector<SweepCell> parallel = run_saturation_sweep(cfg);
-  ASSERT_EQ(serial.size(), parallel.size());
-  ASSERT_EQ(serial.size(), 4u);  // 2 schemes x 2 load points
-  for (usize i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].scheme_label, parallel[i].scheme_label);
-    EXPECT_EQ(serial[i].load.makespan_ns, parallel[i].load.makespan_ns);
-    EXPECT_EQ(serial[i].load.stats.read_latency_ns.p99(),
-              parallel[i].load.stats.read_latency_ns.p99());
-    EXPECT_EQ(serial[i].load.stats.drains, parallel[i].load.stats.drains);
-    EXPECT_EQ(serial[i].write_pj, parallel[i].write_pj);
-  }
-  // The measured-latency encoder must cost tail latency at high load
-  // relative to DCW's free encode — the trade-off the sweep quantifies.
-  EXPECT_GE(serial[3].load.stats.read_latency_ns.p99(),
-            serial[1].load.stats.read_latency_ns.p99());
 }
 
 }  // namespace
