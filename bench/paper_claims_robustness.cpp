@@ -11,6 +11,7 @@
 #include "paper_claims.hpp"
 
 #include <array>
+#include <iterator>
 
 #include "common/rng.hpp"
 #include "fault/power_failure.hpp"
@@ -19,6 +20,7 @@
 #include "memsys/encode_cost.hpp"
 #include "memsys/loadgen.hpp"
 #include "nvm/controller.hpp"
+#include "runner/parallel_runner.hpp"
 
 namespace nvmenc::paper {
 namespace {
@@ -36,13 +38,64 @@ ExperimentConfig matrix_config(const Study& study) {
   return cfg;
 }
 
-std::vector<WorkloadProfile> profiles_named(
-    const std::vector<std::string>& names) {
-  std::vector<WorkloadProfile> profiles;
-  for (const std::string& name : names) {
-    profiles.push_back(profile_by_name(name));
+/// A functional-path sweep's write-back traces, each profile collected
+/// once over the sweep window. Profile b is seeded with run_experiment's
+/// child seed b, so replaying its trace under a fault plan gives the cells
+/// a run_experiment call with that plan would. The workloads stay alive
+/// for the traces' initial_line.
+struct SweepTraces {
+  std::vector<std::string> names;
+  std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
+  std::vector<WritebackTrace> traces;
+};
+
+SweepTraces collect_sweep_traces(const Study& study,
+                                 std::vector<std::string> names) {
+  const ExperimentConfig cfg = matrix_config(study);
+  SweepTraces out;
+  out.workloads.resize(names.size());
+  out.traces = grid<WritebackTrace>(
+      study, names.size(), 1, [&](usize b, usize) {
+        out.workloads[b] = std::make_unique<SyntheticWorkload>(
+            profile_by_name(names[b]), benchmark_seed(cfg.seed, b));
+        return collect_writebacks(*out.workloads[b], cfg.collector);
+      });
+  out.names = std::move(names);
+  return out;
+}
+
+/// One matrix per fault plan over the collected traces: what
+/// run_experiment(profiles, schemes, cfg) returns with cfg.fault =
+/// plans[p], cell (b, s) replayed with the same fault salt
+/// b * schemes + s + 1. Every (plan, cell) pair runs on the study's
+/// workers.
+std::vector<ExperimentMatrix> replay_plans(
+    const Study& study, const SweepTraces& traces,
+    const std::vector<Scheme>& schemes, const std::vector<FaultPlan>& plans) {
+  const ExperimentConfig cfg = matrix_config(study);
+  const usize benchmarks = traces.names.size();
+  const usize cells = benchmarks * schemes.size();
+  std::vector<ReplayResult> results = grid<ReplayResult>(
+      study, plans.size(), cells, [&](usize p, usize i) {
+        const usize b = i / schemes.size();
+        const usize s = i % schemes.size();
+        return replay_scheme(traces.traces[b], schemes[s], cfg.energy,
+                             plans[p], b * schemes.size() + s + 1);
+      });
+  const auto width = static_cast<std::ptrdiff_t>(schemes.size());
+  std::vector<ExperimentMatrix> matrices;
+  matrices.reserve(plans.size());
+  auto cell = results.begin();
+  for (usize p = 0; p < plans.size(); ++p) {
+    std::vector<std::vector<ReplayResult>> rows(benchmarks);
+    for (std::vector<ReplayResult>& row : rows) {
+      row.assign(std::make_move_iterator(cell),
+                 std::make_move_iterator(cell + width));
+      cell += width;
+    }
+    matrices.emplace_back(traces.names, schemes, std::move(rows));
   }
-  return profiles;
+  return matrices;
 }
 
 CacheLine random_line(Xoshiro256& rng) {
@@ -214,24 +267,23 @@ LoadGenConfig zipfian_users(const bench::Options& opt) {
 // RAS section prices the same media faults in time.
 void faults(const Study& study, Claims& /*claims*/) {
   bench::banner("Fault sweep: program-and-verify cost vs write-fail rate");
-  const std::vector<WorkloadProfile> profiles =
-      profiles_named({"gcc", "sjeng", "milc"});
+  const SweepTraces traces =
+      collect_sweep_traces(study, {"gcc", "sjeng", "milc"});
   const std::vector<Scheme> schemes{Scheme::kDcw, Scheme::kFnw,
                                     Scheme::kReadSae};
   const std::vector<double> rates{0.0, 1e-5, 1e-4, 1e-3};
-  const std::vector<ExperimentMatrix> runs = grid<ExperimentMatrix>(
-      study, rates.size(), 1, [&](usize r, usize) {
-        ExperimentConfig cfg = matrix_config(study);
-        cfg.fault.inject.write_fail_rate = rates[r];
-        cfg.fault.inject.stuck_rate = rates[r] / 100.0;
-        // Rate 0 still runs the verify loop, so the energy baseline
-        // includes the mandatory verify reads and the sweep isolates the
-        // cost of the faults themselves (retries, remaps, retirement
-        // copies).
-        cfg.fault.force_verify = true;
-        cfg.fault.retry_limit = 3;
-        return run_experiment(profiles, schemes, cfg);
-      });
+  std::vector<FaultPlan> plans(rates.size(), matrix_config(study).fault);
+  for (usize r = 0; r < rates.size(); ++r) {
+    plans[r].inject.write_fail_rate = rates[r];
+    plans[r].inject.stuck_rate = rates[r] / 100.0;
+    // Rate 0 still runs the verify loop, so the energy baseline includes
+    // the mandatory verify reads and the sweep isolates the cost of the
+    // faults themselves (retries, remaps, retirement copies).
+    plans[r].force_verify = true;
+    plans[r].retry_limit = 3;
+  }
+  const std::vector<ExperimentMatrix> runs =
+      replay_plans(study, traces, schemes, plans);
 
   TextTable energy{[&] {
     std::vector<std::string> header{"fault rate"};
@@ -247,7 +299,7 @@ void faults(const Study& study, Claims& /*claims*/) {
       double base_pj = 0.0;
       u64 writebacks = 0;
       ResilienceStats sum;
-      for (usize b = 0; b < profiles.size(); ++b) {
+      for (usize b = 0; b < traces.names.size(); ++b) {
         pj += runs[r].at(b, s).stats.energy.total_pj();
         base_pj += runs[0].at(b, s).stats.energy.total_pj();
         writebacks += runs[r].at(b, s).stats.writebacks;
@@ -314,14 +366,13 @@ void power_failure(const Study& study, Claims& claims) {
 
   // The fault plan is otherwise empty, so the delta is pure redo-log
   // traffic.
-  const std::vector<WorkloadProfile> profiles =
-      profiles_named({"gcc", "milc"});
-  const std::vector<ExperimentMatrix> runs = grid<ExperimentMatrix>(
-      study, 2, 1, [&](usize atomic, usize) {
-        ExperimentConfig cfg = matrix_config(study);
-        cfg.fault.atomic_writes = atomic == 1;
-        return run_experiment(profiles, schemes, cfg);
-      });
+  const SweepTraces traces = collect_sweep_traces(study, {"gcc", "milc"});
+  std::vector<FaultPlan> plans(2, matrix_config(study).fault);
+  for (usize atomic = 0; atomic < plans.size(); ++atomic) {
+    plans[atomic].atomic_writes = atomic == 1;
+  }
+  const std::vector<ExperimentMatrix> runs =
+      replay_plans(study, traces, schemes, plans);
   const ExperimentMatrix& baseline = runs[0];
   const ExperimentMatrix& atomic = runs[1];
 
@@ -331,7 +382,7 @@ void power_failure(const Study& study, Claims& claims) {
     double atomic_pj = 0.0;
     u64 writebacks = 0;
     u64 log_flips = 0;
-    for (usize b = 0; b < profiles.size(); ++b) {
+    for (usize b = 0; b < traces.names.size(); ++b) {
       base_pj += baseline.at(b, s).stats.energy.total_pj();
       atomic_pj += atomic.at(b, s).stats.energy.total_pj();
       writebacks += atomic.at(b, s).stats.writebacks;

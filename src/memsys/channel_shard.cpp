@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "memsys/memory_system.hpp"
@@ -29,6 +30,7 @@ ChannelShard::ChannelShard(const MemSysConfig& config, usize channel)
       starvation_cap_ns_{config.starvation_cap_ns},
       opportunistic_writes_{config.opportunistic_writes},
       timing_{config.org},
+      bank_reads_(config.org.ranks * config.org.banks),
       queued_lines_{config.write_queue_capacity} {
   require(channel < config.org.channels, "shard channel out of range");
   reads_.reserve(kReadReserve);
@@ -91,6 +93,17 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
                                       bool remapped) {
   NVMENC_DCHECK(channel_of_line(timing_.org(), line_addr) == channel_,
                 "line routed to the wrong channel shard");
+  if (!(now_ns >= last_arrival_ns_)) {
+    std::string message = "channel ";
+    message += std::to_string(channel_);
+    message += ": arrival at ";
+    message += std::to_string(now_ns);
+    message += " ns precedes the previous arrival at ";
+    message += std::to_string(last_arrival_ns_);
+    message += " ns (arrivals must be nondecreasing)";
+    throw std::invalid_argument{message};
+  }
+  last_arrival_ns_ = now_ns;
   if (wl_) {
     // Wear-leveling translation: channel-preserving, so the routing above
     // holds for the physical address too. The leveler observes the write
@@ -127,8 +140,9 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       stats_.read_latency_stat.add(forward_ns_);
       push_completion({ticket, now_ns + forward_ns_, ReqKind::kRead, true});
     } else {
-      reads_.push_back({ticket, line_addr, now_ns,
-                        decompose(timing_.org(), line_addr)});
+      const BankAddress where = decompose(timing_.org(), line_addr);
+      reads_.push_back({ticket, line_addr, now_ns, where});
+      if (bank_reads_[where.bank].pending++ == 0) ++read_banks_;
     }
   } else {
     if (queued_lines_.contains(line_addr) ||
@@ -141,6 +155,7 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       parked_.push_back({ticket, line_addr, now_ns});
     }
   }
+  refresh_wake();
 }
 
 void ChannelShard::charge_wl_migrations(const std::vector<u64>& dests,
@@ -190,19 +205,27 @@ u64 ChannelShard::submit(u64 line_addr, ReqKind kind, double now_ns,
   return ticket;
 }
 
-double ChannelShard::wake() const {
-  const bool drain_mode = draining_ && !writes_.empty();
-  const bool write_mode =
-      drain_mode || (reads_.empty() && !writes_.empty() &&
-                     (opportunistic_writes_ || flushing_));
+void ChannelShard::refresh_wake() {
   double wake = kInf;
-  if (!drain_mode) {
+  if (!drain_mode() && read_banks_ > 0) {
+    // reads_ is in arrival order, so a bank's first pending read carries
+    // its earliest arrival and stands for the bank: no later read to the
+    // same bank can issue sooner. The scan ends once every bank holding a
+    // read has been seen, or once arrivals reach the best candidate (a
+    // later read cannot issue before it arrives).
+    ++wake_scan_;
+    usize unseen = read_banks_;
     for (const PendingRead& r : reads_) {
+      if (r.arrival >= wake) break;
+      BankReads& bank = bank_reads_[r.where.bank];
+      if (bank.seen == wake_scan_) continue;
+      bank.seen = wake_scan_;
       wake = std::min(
           wake, std::max(r.arrival, timing_.bank_free_at(r.where.bank)));
+      if (--unseen == 0) break;
     }
   }
-  if (write_mode) {
+  if (write_mode()) {
     for (const QueuedWrite& w : writes_) {
       wake = std::min(
           wake, std::max(w.arrival, timing_.bank_free_at(w.where.bank)));
@@ -216,37 +239,41 @@ double ChannelShard::wake() const {
         wake, std::max(scrub_->arrival,
                        timing_.bank_free_at(scrub_->where.bank)));
   }
-  if (wake == kInf) return kInf;
-  return std::max(wake, slot_free_at_);
+  wake_ = wake == kInf ? kInf : std::max(wake, slot_free_at_);
 }
 
 void ChannelShard::arbitrate(double now) {
-  const bool drain_mode = draining_ && !writes_.empty();
-  const bool write_mode =
-      drain_mode || (reads_.empty() && !writes_.empty() &&
-                     (opportunistic_writes_ || flushing_));
-  const bool issued = write_mode ? issue_write(now) : issue_read(now);
-  if (issued) return;
-  if (scrub_.has_value() && scrub_->arrival <= now &&
-      timing_.bank_free_at(scrub_->where.bank) <= now) {
-    issue_scrub(now);
-    return;
+  const bool issued = write_mode() ? issue_write(now) : issue_read(now);
+  if (!issued) {
+    if (scrub_.has_value() && scrub_->arrival <= now &&
+        timing_.bank_free_at(scrub_->where.bank) <= now) {
+      issue_scrub(now);
+    } else {
+      // Unreachable by the wake contract; guarantee progress regardless.
+      slot_free_at_ = now + std::max(t_cmd_ns_, 1.0);
+    }
   }
-  // Unreachable by the wake contract; guarantee progress regardless.
-  slot_free_at_ = now + std::max(t_cmd_ns_, 1.0);
+  refresh_wake();
 }
 
 bool ChannelShard::issue_read(double now) {
+  // reads_ is in arrival order, so the first eligible read is the oldest.
+  // The scan stops at the first read still to arrive (every later one is
+  // too), at an oldest read past the starvation cap (it wins whatever row
+  // hits follow), or at the first eligible row hit.
   usize oldest = kNone;
   usize row_hit = kNone;
   for (usize i = 0; i < reads_.size(); ++i) {
     const PendingRead& r = reads_[i];
-    if (r.arrival > now) continue;
+    if (r.arrival > now) break;
     if (timing_.bank_free_at(r.where.bank) > now) continue;
-    if (oldest == kNone) oldest = i;
-    if (row_hit == kNone &&
-        timing_.row_open(r.where.bank, r.where.row)) {
+    if (oldest == kNone) {
+      oldest = i;
+      if (now - r.arrival > starvation_cap_ns_) break;
+    }
+    if (timing_.row_open(r.where.bank, r.where.row)) {
       row_hit = i;
+      break;
     }
   }
   if (oldest == kNone) return false;
@@ -257,6 +284,7 @@ bool ChannelShard::issue_read(double now) {
   }
   const PendingRead r = reads_[pick];
   reads_.erase(reads_.begin() + static_cast<std::ptrdiff_t>(pick));
+  if (--bank_reads_[r.where.bank].pending == 0) --read_banks_;
   double done = timing_.access(r.line_addr, MemOp::kRead, now);
   if (ras_) {
     const FaultDomain::ReadOutcome out =
@@ -388,10 +416,10 @@ std::optional<MemSysCompletion> ChannelShard::step_until(double t_ns) {
 }
 
 double ChannelShard::drain_all() {
-  flushing_ = true;
+  set_flushing(true);
   while (step_until(kInf).has_value()) {
   }
-  flushing_ = false;
+  set_flushing(false);
   return stats_.last_completion_ns;
 }
 

@@ -22,6 +22,7 @@
 // operator new.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -51,10 +52,12 @@ class ChannelShard {
 
   /// Submits a request with a caller-allocated ticket (the serial
   /// front-end hands out globally increasing tickets; sharded drivers use
-  /// submit(), below). Arrivals must be nondecreasing in time and never
-  /// earlier than a completion this shard already returned. `remapped`
-  /// marks traffic redirected here from a degraded channel: it flows
-  /// through this shard's bounded remapping queue and may pay a
+  /// submit(), below). Arrivals must be nondecreasing in time (an earlier
+  /// one throws std::invalid_argument naming the channel and both times)
+  /// and never earlier than a completion this shard already returned;
+  /// the arbiter's scans rely on the read queue being in arrival order.
+  /// `remapped` marks traffic redirected here from a degraded channel: it
+  /// flows through this shard's bounded remapping queue and may pay a
   /// congestion-backoff charge (bank occupancy) on the way in.
   void submit_with_ticket(u64 ticket, u64 line_addr, ReqKind kind,
                           double now_ns, bool remapped = false);
@@ -78,8 +81,10 @@ class ChannelShard {
   // --- pieces the serial cross-channel arbiter composes ---
 
   /// Earliest time this shard could issue a command (+inf if nothing is
-  /// pending or allowed).
-  [[nodiscard]] double wake() const;
+  /// pending or allowed). Kept as state: recomputed only by the calls
+  /// that can move it (a submit, an issued command, set_flushing), so a
+  /// query is a load.
+  [[nodiscard]] double wake() const noexcept { return wake_; }
   /// Issues the best eligible command at `now` (== wake()).
   void arbitrate(double now);
   [[nodiscard]] bool has_completion() const noexcept {
@@ -91,7 +96,10 @@ class ChannelShard {
   }
   MemSysCompletion pop_completion();
   /// drain_all-mode flag: writes may issue below the watermark.
-  void set_flushing(bool on) noexcept { flushing_ = on; }
+  void set_flushing(bool on) {
+    flushing_ = on;
+    refresh_wake();
+  }
 
   [[nodiscard]] const MemSysStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const TimingStats& timing_stats() const noexcept {
@@ -120,7 +128,8 @@ class ChannelShard {
   }
   /// Applies time-based RAS transitions (the scripted media kill) at
   /// `now_ns`. Drivers call this at epoch boundaries so a killed channel
-  /// trips even when no further arrivals reach it.
+  /// trips even when no further arrivals reach it. It moves no queue or
+  /// bank state, so the cached wake time stays valid.
   void poll_ras(double now_ns) {
     if (ras_) ras_->poll(now_ns);
   }
@@ -158,6 +167,12 @@ class ChannelShard {
     double arrival = 0.0;
     BankAddress where;
   };
+  /// Pending demand reads on one bank, and the last wake scan that saw
+  /// one of them.
+  struct BankReads {
+    usize pending = 0;
+    u64 seen = 0;
+  };
   struct LaterCompletion {
     bool operator()(const MemSysCompletion& a,
                     const MemSysCompletion& b) const noexcept {
@@ -175,6 +190,18 @@ class ChannelShard {
     void reserve(usize n) { c.reserve(n); }
   };
 
+  /// Reads wait while the write queue drains to the low watermark.
+  [[nodiscard]] bool drain_mode() const noexcept {
+    return draining_ && !writes_.empty();
+  }
+  /// Writes issue: in a drain, or opportunistically (or while flushing)
+  /// when no read is pending.
+  [[nodiscard]] bool write_mode() const noexcept {
+    return drain_mode() || (reads_.empty() && !writes_.empty() &&
+                            (opportunistic_writes_ || flushing_));
+  }
+  /// Recomputes wake_, visiting each bank with a pending read once.
+  void refresh_wake();
   bool issue_read(double now);
   bool issue_write(double now);
   void issue_scrub(double now);
@@ -197,6 +224,9 @@ class ChannelShard {
   MemoryTimingModel timing_;  ///< this channel's banks and bus
 
   std::vector<PendingRead> reads_;   ///< arrival order; erase keeps it
+  std::vector<BankReads> bank_reads_;  ///< per bank of timing_
+  usize read_banks_ = 0;             ///< banks with a pending read
+  u64 wake_scan_ = 0;                ///< refresh_wake's scan counter
   std::vector<QueuedWrite> writes_;  ///< bounded by write_queue_capacity
   FlatSetU64 queued_lines_;          ///< forward/coalesce index
   RingBuffer<ParkedWrite> parked_;   ///< arrivals beyond capacity
@@ -205,6 +235,8 @@ class ChannelShard {
   bool draining_ = false;
   bool flushing_ = false;
   double slot_free_at_ = 0.0;
+  double wake_ = std::numeric_limits<double>::infinity();
+  double last_arrival_ns_ = -std::numeric_limits<double>::infinity();
   u64 next_ticket_ = 0;
 
   // RAS layer: the fault domain plus the background scrub engine's

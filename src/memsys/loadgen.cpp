@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -111,6 +110,37 @@ struct LaterArrival {
   }
 };
 
+/// Ticket -> user of the requests in flight. A user keeps at most one
+/// outstanding, so a flat list of at most `users` entries holds them all
+/// and a request costs no allocation.
+class InflightUsers {
+ public:
+  explicit InflightUsers(usize users) { entries_.reserve(users); }
+
+  void add(u64 ticket, usize user) { entries_.push_back({ticket, user}); }
+
+  /// Removes `ticket`'s entry and returns its user.
+  usize take(u64 ticket) {
+    const auto it =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [ticket](const Entry& e) { return e.ticket == ticket; });
+    ensure(it != entries_.end(), "completion for a ticket not in flight");
+    const usize user = it->user;
+    *it = entries_.back();
+    entries_.pop_back();
+    return user;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+
+ private:
+  struct Entry {
+    u64 ticket = 0;
+    usize user = 0;
+  };
+  std::vector<Entry> entries_;
+};
+
 }  // namespace
 
 LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
@@ -135,16 +165,14 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
       arrivals;
   for (usize u = 0; u < load.users; ++u) arrivals.push({think(u), u});
 
-  std::unordered_map<u64, usize> inflight;  // ticket -> user
+  InflightUsers inflight{load.users};
   u64 issued = 0;
   while (issued < load.requests || !inflight.empty()) {
     const double next_arrival = arrivals.empty() ? kInf : arrivals.top().time_ns;
     // Deliver every completion due before the next arrival; each unblocks
     // its user, whose next arrival may in turn precede the current top.
     if (const auto comp = sys.step_until(next_arrival)) {
-      const auto it = inflight.find(comp->ticket);
-      const usize u = it->second;
-      inflight.erase(it);
+      const usize u = inflight.take(comp->ticket);
       arrivals.push({comp->time_ns + think(u), u});
       continue;
     }
@@ -167,8 +195,7 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
       remapped = routed != addr;
       addr = routed;
     }
-    inflight.emplace(sys.submit(addr, kind, arr.time_ns, remapped),
-                     arr.user);
+    inflight.add(sys.submit(addr, kind, arr.time_ns, remapped), arr.user);
     ++issued;
   }
 
@@ -245,8 +272,8 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
 
     std::priority_queue<UserArrival, std::vector<UserArrival>, LaterArrival>
         arrivals;
-    std::unordered_map<u64, usize> inflight;  // ticket -> user
-    std::vector<u64> issued(load.users, 0);   // only this shard's slots used
+    InflightUsers inflight{load.users};
+    std::vector<u64> issued(load.users, 0);  // only this shard's slots used
     for (usize u = c; u < load.users; u += nch) {
       if (quota[u] > 0) arrivals.push({think(u), u});
     }
@@ -254,9 +281,7 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
       const double next_arrival =
           arrivals.empty() ? kInf : arrivals.top().time_ns;
       if (const auto comp = shard.step_until(next_arrival)) {
-        const auto it = inflight.find(comp->ticket);
-        const usize u = it->second;
-        inflight.erase(it);
+        const usize u = inflight.take(comp->ticket);
         if (issued[u] < quota[u]) {
           arrivals.push({comp->time_ns + think(u), u});
         }
@@ -271,7 +296,7 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
       const ReqKind kind = rngs[u].next_bool(load.read_fraction)
                                ? ReqKind::kRead
                                : ReqKind::kWrite;
-      inflight.emplace(shard.submit(addr, kind, arr.time_ns), u);
+      inflight.add(shard.submit(addr, kind, arr.time_ns), u);
       ++issued[u];
     }
     (void)shard.drain_all();

@@ -64,26 +64,11 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
   return completion;
 }
 
-const MemoryTimingModel::BankState& MemoryTimingModel::bank_at(
-    usize bank) const {
-  require(bank < banks_.size(), "bank index out of range");
-  return banks_[bank];
-}
-
-double MemoryTimingModel::bank_free_at(usize bank) const {
-  return bank_at(bank).free_at;
-}
-
 void MemoryTimingModel::occupy_bank(usize bank, double from_ns,
                                     double extra_ns) {
   require(bank < banks_.size(), "bank index out of range");
   BankState& state = banks_[bank];
   state.free_at = std::max(state.free_at, from_ns) + extra_ns;
-}
-
-bool MemoryTimingModel::row_open(usize bank, u64 row) const {
-  const BankState& state = bank_at(bank);
-  return state.row_valid && state.open_row == row;
 }
 
 }  // namespace nvmenc

@@ -123,11 +123,16 @@ class MemoryTimingModel {
   [[nodiscard]] const MemOrg& org() const noexcept { return org_; }
 
   /// Earliest time the bank is free.
-  [[nodiscard]] double bank_free_at(usize bank) const;
+  [[nodiscard]] double bank_free_at(usize bank) const {
+    return bank_at(bank).free_at;
+  }
 
   /// True when the bank's row buffer currently holds `row` — the FR-FCFS
   /// row-hit test an external arbiter needs to prefer open-row requests.
-  [[nodiscard]] bool row_open(usize bank, u64 row) const;
+  [[nodiscard]] bool row_open(usize bank, u64 row) const {
+    const BankState& state = bank_at(bank);
+    return state.row_valid && state.open_row == row;
+  }
 
   /// Holds the bank busy for `extra_ns` beyond max(free_at, from_ns):
   /// the RAS layer's hook for charging recovery work (program-and-verify
@@ -144,7 +149,12 @@ class MemoryTimingModel {
     bool row_valid = false;
   };
 
-  [[nodiscard]] const BankState& bank_at(usize bank) const;
+  // Inline with its two readers: the shard's arbiter asks for a bank's
+  // state on every wake recomputation and every issue scan.
+  [[nodiscard]] const BankState& bank_at(usize bank) const {
+    require(bank < banks_.size(), "bank index out of range");
+    return banks_[bank];
+  }
 
   MemOrg org_;
   std::vector<BankState> banks_;

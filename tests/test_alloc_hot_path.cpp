@@ -7,7 +7,8 @@
 // submit -> arbitrate -> complete path: a single steady-state heap
 // allocation fails the test. This is the enforcement half of the
 // ChannelShard container design (RingBuffer, FlatSetU64, reserved
-// vectors and completion heap).
+// vectors and completion heap). The closed loop (run_load) is held to the
+// same rule by comparing the allocations of runs of N and 2N requests.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/alloc_hook.hpp"
+#include "memsys/loadgen.hpp"
 #include "memsys/memory_system.hpp"
 #include "trace/synthetic.hpp"
 
@@ -128,6 +130,28 @@ TEST(AllocHotPathTest, SaturatedReplayStopsAllocatingOnceWarm) {
   EXPECT_EQ(after - before, 0u)
       << "the near-saturation hot path heap-allocated after warmup";
   (void)sys.drain_all();
+}
+
+TEST(AllocHotPathTest, ClosedLoopAllocationsDoNotGrowWithRequests) {
+  // run_load's per-request work (the router, the users' arrival heap and
+  // the ticket -> user list) must not allocate per request: runs of N and
+  // 2N requests make the same number of heap allocations.
+  LoadGenConfig load;
+  load.pattern = LoadPattern::kZipfian;
+  load.footprint_lines = 4'096;
+  load.think_ns = 50.0;
+  const auto allocations = [&](u64 requests) {
+    load.requests = requests;
+    alloc_hook_arm(true);
+    const u64 before = alloc_hook_count();
+    const LoadResult result = run_load(load, hot_config());
+    const u64 after = alloc_hook_count();
+    alloc_hook_arm(false);
+    EXPECT_EQ(result.stats.reads + result.stats.writes, requests);
+    return after - before;
+  };
+  EXPECT_EQ(allocations(20'000), allocations(40'000))
+      << "the closed loop heap-allocated per request";
 }
 
 }  // namespace

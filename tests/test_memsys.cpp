@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "memsys/encode_cost.hpp"
@@ -418,6 +421,33 @@ TEST(MemorySystem, CompletionsAreMonotonicAndComplete) {
   }
   EXPECT_EQ(delivered, submitted);
   sys.drain_all();
+  EXPECT_TRUE(sys.idle());
+}
+
+TEST(MemorySystem, RejectsAnArrivalEarlierThanTheLast) {
+  // The arbiter's scans rely on each shard's read queue being in arrival
+  // order, so an arrival that goes back in time is refused, not queued.
+  MemorySystem sys{small_config()};
+  (void)sys.submit(0, ReqKind::kRead, 100.0);
+  (void)sys.submit(kLineBytes, ReqKind::kWrite, 100.0);  // a tie is fine
+  try {
+    (void)sys.submit(2 * kLineBytes, ReqKind::kRead, 99.5);
+    FAIL() << "an arrival earlier than the last one was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("channel 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("99.5"), std::string::npos) << what;
+    EXPECT_NE(what.find("100.0"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)sys.submit(0, ReqKind::kRead,
+                                std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  // The refused arrivals left the shard as it was.
+  (void)sys.submit(2 * kLineBytes, ReqKind::kRead, 100.0);
+  (void)settle(sys, 0.0);
+  sys.drain_all();
+  EXPECT_EQ(sys.stats().reads, 2u);
+  EXPECT_EQ(sys.stats().writes, 1u);
   EXPECT_TRUE(sys.idle());
 }
 
