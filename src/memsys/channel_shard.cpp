@@ -106,14 +106,15 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
   last_arrival_ns_ = now_ns;
   if (wl_) {
     // Wear-leveling translation: channel-preserving, so the routing above
-    // holds for the physical address too. The leveler observes the write
-    // arrival stream and advances here — before the mapping is consulted
-    // again — so a parked or queued write keeps the slot it was accepted
-    // into (real levelers quiesce in-flight lines the same way).
-    const u64 logical = line_addr;
-    line_addr = wl_->translate(logical);
+    // holds for the physical address too. A write lands on the current
+    // mapping and then advances the leveler — before the mapping is
+    // consulted again — so a parked or queued write keeps the slot it was
+    // accepted into (real levelers quiesce in-flight lines the same way).
     if (kind == ReqKind::kWrite) {
-      charge_wl_migrations(wl_->on_write(logical), now_ns);
+      line_addr = wl_->translate_write(line_addr);
+      charge_wl_migrations(now_ns);
+    } else {
+      line_addr = wl_->translate(line_addr);
     }
   }
   if (ras_) {
@@ -123,12 +124,8 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       // Inflow from a degraded channel passes the bounded remapping
       // queue; congestion holds the target bank while the remap engine
       // backs off, so overload surfaces in the survivors' tail latency.
-      const double penalty = ras_->on_remap_in(now_ns);
-      if (penalty > 0.0) {
-        const BankAddress where = decompose(timing_.org(), line_addr);
-        timing_.occupy_bank(where.bank, now_ns, penalty);
-        ras_->add_busy(penalty);
-      }
+      charge_ras(decompose(timing_.org(), line_addr).bank, now_ns,
+                 ras_->on_remap_in(now_ns));
     }
   }
   if (kind == ReqKind::kRead) {
@@ -158,28 +155,25 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
   refresh_wake();
 }
 
-void ChannelShard::charge_wl_migrations(const std::vector<u64>& dests,
-                                        double now_ns) {
-  for (const u64 dest : dests) {
-    // One migration = read the source, write the destination: the copy
-    // holds the destination's bank, burns energy, and wears the
-    // destination's cells (half a line of flips against unrelated data).
-    const BankAddress where = decompose(timing_.org(), dest);
-    const double copy = timing_.org().t_read_ns + timing_.org().t_write_ns;
-    timing_.occupy_bank(where.bank, now_ns, copy);
-    wl_busy_ns_ += copy;
-    wl_energy_pj_ += ras_->config().lifetime.wl_migrate_pj;
-    const FaultDomain::MigrateOutcome out =
-        ras_->on_migration_write(dest, now_ns);
-    double extra = 0.0;
-    if (out.remapped) extra += timing_.org().t_write_ns;
-    if (out.retired) {
-      extra += timing_.org().t_read_ns + timing_.org().t_write_ns;
-    }
-    if (extra > 0.0) {
-      timing_.occupy_bank(where.bank, now_ns, extra);
-      ras_->add_busy(extra);
-    }
+double ChannelShard::charge_ras(usize bank, double from_ns, double ns) {
+  if (ns > 0.0) {
+    timing_.occupy_bank(bank, from_ns, ns);
+    ras_->add_busy(ns);
+  }
+  return ns;
+}
+
+void ChannelShard::charge_wl_migrations(double now_ns) {
+  // One migration = read the source, write the destination: the copy
+  // holds the destination's bank, then any escalation of the worn
+  // destination holds it longer.
+  const MemOrg& org = timing_.org();
+  const double copy = org.t_read_ns + org.t_write_ns;
+  for (const u64 dest : wl_->migrated()) {
+    const usize bank = decompose(org, dest).bank;
+    timing_.occupy_bank(bank, now_ns, copy);
+    charge_ras(bank, now_ns,
+               ras_->on_migration_write(dest, now_ns, copy).bank_ns(org));
   }
 }
 
@@ -193,8 +187,6 @@ LifetimeStats ChannelShard::lifetime_stats() const {
     stats.wl_moves = wl_->migrations();
     stats.wl_uniformity = wl_->uniformity();
   }
-  stats.wl_busy_ns = wl_busy_ns_;
-  stats.wl_energy_pj = wl_energy_pj_;
   return stats;
 }
 
@@ -287,18 +279,11 @@ bool ChannelShard::issue_read(double now) {
   if (--bank_reads_[r.where.bank].pending == 0) --read_banks_;
   double done = timing_.access(r.line_addr, MemOp::kRead, now);
   if (ras_) {
-    const FaultDomain::ReadOutcome out =
-        ras_->on_demand_read(r.line_addr, now);
-    if (out.uncorrectable) {
-      // SECDED double fault: the data returns only after the controller
-      // rebuilds the line into a spare (read + write of recovery work,
-      // holding the bank), so the UE lands squarely in the read tail.
-      const double recovery =
-          timing_.org().t_read_ns + timing_.org().t_write_ns;
-      timing_.occupy_bank(r.where.bank, done, recovery);
-      ras_->add_busy(recovery);
-      done += recovery;
-    }
+    // A SECDED double fault returns data only after the controller
+    // rebuilds the line into a spare, so the UE lands in the read tail.
+    done += charge_ras(
+        r.where.bank, done,
+        ras_->on_demand_read(r.line_addr, now).bank_ns(timing_.org()));
   }
   const double latency = done - r.arrival;
   stats_.read_latency_ns.add(latency);
@@ -332,24 +317,12 @@ bool ChannelShard::issue_write(double now) {
   double done = timing_.access(w.line_addr, MemOp::kWrite, now);
   ++stats_.array_writes;
   if (ras_) {
-    // Program-and-verify: failed pulses re-issue with exponential
-    // backoff (re-pulse r costs 2^(r-1) array-write times), escalations
-    // rewrite the line (SAFER) or copy it to a spare (retirement). All
-    // of it occupies the bank in virtual time, delaying later row hits.
-    const FaultDomain::WriteOutcome out =
-        ras_->on_array_write(w.line_addr, now);
-    const double tw = timing_.org().t_write_ns;
-    double extra = 0.0;
-    if (out.retries > 0) {
-      extra += tw * static_cast<double>((u64{1} << out.retries) - 1);
-    }
-    if (out.remapped) extra += tw;
-    if (out.retired) extra += timing_.org().t_read_ns + tw;
-    if (extra > 0.0) {
-      timing_.occupy_bank(w.where.bank, done, extra);
-      ras_->add_busy(extra);
-      done += extra;
-    }
+    // Program-and-verify re-pulses and escalations (SAFER rewrite,
+    // retirement copy) occupy the bank in virtual time, delaying later
+    // row hits.
+    done += charge_ras(
+        w.where.bank, done,
+        ras_->on_array_write(w.line_addr, now).bank_ns(timing_.org()));
   }
   stats_.last_completion_ns = std::max(stats_.last_completion_ns, done);
   slot_free_at_ = now + t_cmd_ns_;
@@ -372,21 +345,9 @@ void ChannelShard::issue_scrub(double now) {
   const PendingScrub s = *scrub_;
   scrub_.reset();
   const double done = timing_.access(s.line_addr, MemOp::kRead, now);
-  const FaultDomain::ScrubOutcome out =
-      ras_->on_scrub_read(s.line_addr, now);
-  // Scrub-on-read repair work occupies the bank: writing back a corrected
-  // image costs one array write, an uncorrectable escalation costs the
-  // retirement copy.
-  double extra = 0.0;
-  if (out.corrected) extra += timing_.org().t_write_ns;
-  if (out.uncorrectable || out.retired_worn) {
-    extra += timing_.org().t_read_ns + timing_.org().t_write_ns;
-  }
-  if (out.remapped) extra += timing_.org().t_write_ns;
-  if (extra > 0.0) {
-    timing_.occupy_bank(s.where.bank, done, extra);
-    ras_->add_busy(extra);
-  }
+  // Scrub-on-read repair work (write-back, escalation) occupies the bank.
+  charge_ras(s.where.bank, done,
+             ras_->on_scrub_read(s.line_addr, now).bank_ns(timing_.org()));
   slot_free_at_ = now + t_cmd_ns_;
 }
 

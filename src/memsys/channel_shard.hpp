@@ -140,9 +140,10 @@ class ChannelShard {
   [[nodiscard]] bool lifetime_on() const noexcept {
     return ras_ && ras_->lifetime() != nullptr;
   }
-  /// This channel's aging counters: the engine's endurance/drift view
-  /// plus the shard's wear-leveling activity (migrations, bank time,
-  /// energy, slot uniformity). Zero-initialized when aging is off.
+  /// This channel's aging counters: the fault domain's endurance, drift
+  /// and migration-cost view plus the translator's leveling activity
+  /// (demand writes, migrations, slot uniformity). Zero-initialized when
+  /// aging is off.
   [[nodiscard]] LifetimeStats lifetime_stats() const;
 
  private:
@@ -206,9 +207,13 @@ class ChannelShard {
   bool issue_write(double now);
   void issue_scrub(double now);
   void maybe_arm_scrub(double now);
-  /// Charges the wear-leveler migration writes `dests` produced by the
-  /// last on_write: bank occupancy, energy, and destination endurance.
-  void charge_wl_migrations(const std::vector<u64>& dests, double now_ns);
+  /// Charges `ns` of recovery work to `bank` from `from_ns` (bank
+  /// occupancy plus the fault domain's ras_busy_ns); returns `ns`.
+  double charge_ras(usize bank, double from_ns, double ns);
+  /// Charges the migration writes of the last translate_write: each copy
+  /// holds its destination's bank, and the fault domain books its cost
+  /// and the destination's wear.
+  void charge_wl_migrations(double now_ns);
   void accept_write(u64 ticket, u64 line_addr, double arrival,
                     double accept_time);
   void push_completion(const MemSysCompletion& completion);
@@ -253,8 +258,6 @@ class ChannelShard {
   // the leveler advances on this shard's own write arrivals only — a pure
   // function of the arrival sequence, so serial and sharded runs agree.
   std::optional<WearLevelTranslator> wl_;
-  double wl_busy_ns_ = 0.0;
-  double wl_energy_pj_ = 0.0;
 };
 
 /// Per-channel RAS stats + the event logs merged in (time, channel)

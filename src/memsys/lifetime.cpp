@@ -18,14 +18,17 @@ constexpr u64 kSaltEndurance = 0;
 constexpr u64 kSaltDrift = 1;
 
 [[nodiscard]] Xoshiro256 lifetime_rng(u64 seed, usize channel, u64 line,
-                                      u64 seq, u64 salt) noexcept {
+                                      u64 seq, u64 salt,
+                                      u64 high = 0) noexcept {
   // Three independent SplitMix64 streams folded together, the same
   // cascade shape as FaultInjector::event_rng: any change in (channel,
-  // line, seq, salt) decorrelates the whole draw.
+  // line, seq, salt) decorrelates the whole draw. A non-zero `high`
+  // (a drift key past 2^32, see drift_key) folds in a fourth stream.
   SplitMix64 a{seed};
   SplitMix64 b{line + 0x9e3779b97f4a7c15ull * (seq + 1)};
   SplitMix64 c{(static_cast<u64>(channel) << 8) | salt};
-  return Xoshiro256{a.next() ^ b.next() ^ c.next()};
+  const u64 d = high != 0 ? SplitMix64{high}.next() : 0;
+  return Xoshiro256{a.next() ^ b.next() ^ c.next() ^ d};
 }
 
 /// Standard normal via Box-Muller; u1 is mapped into (0, 1] so log never
@@ -69,7 +72,6 @@ void LifetimeConfig::validate() const {
   if (leveler != WearLevelerKind::kNone) {
     require(wl_interval > 0, "wear-leveling interval must be positive");
     require(wl_region_lines >= 2, "wear-leveling region needs >= 2 lines");
-    require(wl_migrate_pj >= 0.0, "migration energy must be non-negative");
     if (leveler == WearLevelerKind::kSecurityRefresh) {
       require(is_pow2(wl_region_lines),
               "Security Refresh region must be a power of 2");
@@ -110,27 +112,25 @@ LifetimeEngine::LifetimeEngine(const LifetimeConfig& config, usize channel)
   config_.validate();
 }
 
-LifetimeEngine::LineLife& LifetimeEngine::touch(u64 line) {
-  auto [it, inserted] = lines_.try_emplace(line);
-  if (inserted) {
+LineLife& LifetimeEngine::track(u64 line, LineLife& life) {
+  if (!life.tracked) {
+    life.tracked = true;
     if (config_.endurance_mean_flips > 0.0) {
       Xoshiro256 rng =
           lifetime_rng(config_.seed, channel_, line, 0, kSaltEndurance);
-      it->second.limit =
-          config_.endurance_mean_flips *
-          std::exp(config_.endurance_sigma * standard_normal(rng));
+      life.limit = config_.endurance_mean_flips *
+                   std::exp(config_.endurance_sigma * standard_normal(rng));
     } else {
-      it->second.limit = std::numeric_limits<double>::infinity();
+      life.limit = std::numeric_limits<double>::infinity();
     }
     ++stats_.lines_tracked;
   }
-  return it->second;
+  return life;
 }
 
-LifetimeEngine::WearOutcome LifetimeEngine::on_write(u64 line, double flips,
-                                                     double now_ns) {
-  WearOutcome out;
-  LineLife& life = touch(line);
+bool LifetimeEngine::on_write(u64 line, LineLife& life, double flips,
+                              double now_ns) {
+  track(line, life);
   const double add = flips * config_.age_multiplier;
   const bool was_below = life.wear < life.limit;
   life.wear += add;
@@ -142,43 +142,40 @@ LifetimeEngine::WearOutcome LifetimeEngine::on_write(u64 line, double flips,
     stats_.max_wear_frac =
         std::max(stats_.max_wear_frac, life.wear / life.limit);
   }
-  if (was_below && life.wear >= life.limit) {
-    out.worn = true;
-    ++stats_.worn_lines;
-    if (stats_.first_wearout_ns <= 0.0) stats_.first_wearout_ns = now_ns;
-  }
-  return out;
+  if (!was_below || life.wear < life.limit) return false;
+  ++stats_.worn_lines;
+  if (stats_.first_wearout_ns <= 0.0) stats_.first_wearout_ns = now_ns;
+  return true;
 }
 
-bool LifetimeEngine::drift_on_read(u64 line, double now_ns) {
+bool LifetimeEngine::drift_on_read(u64 line, LineLife& life, double now_ns) {
   if (config_.retention_tau_ns <= 0.0) return false;
-  LineLife& life = touch(line);
-  const u64 seq = (static_cast<u64>(life.writes) << 32) | life.reads;
+  track(line, life);
+  const DriftKey key = drift_key(life.writes, life.reads);
   ++life.reads;
   // Lines never written in the run count as written at t = 0 (the
   // pre-run image), so cold data drifts too.
   const double age = (now_ns - life.last_write_ns) * config_.age_multiplier;
   if (age <= 0.0) return false;
   const double p = 1.0 - std::exp(-age / config_.retention_tau_ns);
-  Xoshiro256 rng = lifetime_rng(config_.seed, channel_, line, seq, kSaltDrift);
+  Xoshiro256 rng = lifetime_rng(config_.seed, channel_, line, key.seq,
+                                kSaltDrift, key.high);
   if (!rng.next_bool(p)) return false;
   ++stats_.drift_errors;
   return true;
 }
 
-void LifetimeEngine::refresh(u64 line, double now_ns) {
-  touch(line).last_write_ns = now_ns;
-}
-
-void LifetimeEngine::relieve(u64 line) {
-  LineLife& life = touch(line);
+void LifetimeEngine::relieve(u64 line, LineLife& life) {
+  track(line, life);
   if (std::isfinite(life.limit)) {
     life.limit *= 1.0 + config_.safer_relief;
   }
   ++stats_.wear_safer;
 }
 
-double LifetimeEngine::limit_flips(u64 line) { return touch(line).limit; }
+double LifetimeEngine::limit_flips(u64 line, LineLife& life) {
+  return track(line, life).limit;
+}
 
 // ---------------------------------------------------------- translator --
 
@@ -214,38 +211,37 @@ WearLeveler& WearLevelTranslator::region(u64 region_id) {
   return *it->second;
 }
 
+u64 WearLevelTranslator::physical(u64 region_id, usize slot) const noexcept {
+  // Regions stride by region_lines + 1 physical slots: Start-Gap's spare
+  // slot gets its own address, keeping the global map injective.
+  return channel_local_line_addr(
+      org_, channel_, region_id * (config_.wl_region_lines + 1) + slot);
+}
+
 u64 WearLevelTranslator::translate(u64 line_addr) {
   NVMENC_DCHECK(channel_of_line(org_, line_addr) == channel_,
                 "translating a line homed on another channel");
   const u64 index = channel_local_line_index(org_, line_addr);
   const u64 region_id = index / config_.wl_region_lines;
   const u64 inner = index % config_.wl_region_lines;
-  const usize slot = region(region_id).map(inner * kLineBytes);
-  // Regions stride by region_lines + 1 physical slots: Start-Gap's spare
-  // slot gets its own address, keeping the global map injective.
-  const u64 physical =
-      region_id * (config_.wl_region_lines + 1) + slot;
-  return channel_local_line_addr(org_, channel_, physical);
+  return physical(region_id, region(region_id).map(inner * kLineBytes));
 }
 
-const std::vector<u64>& WearLevelTranslator::on_write(u64 line_addr) {
-  dests_.clear();
+u64 WearLevelTranslator::translate_write(u64 line_addr) {
   const u64 index = channel_local_line_index(org_, line_addr);
   const u64 region_id = index / config_.wl_region_lines;
   const u64 inner = index % config_.wl_region_lines;
   WearLeveler& leveler = region(region_id);
+  const u64 landed = physical(region_id, leveler.map(inner * kLineBytes));
   leveler.on_write(inner * kLineBytes,
                    static_cast<usize>(config_.wear_per_write_flips));
   ++demand_writes_;
   slots_.clear();
   leveler.drain_migrations(slots_);
-  for (const usize slot : slots_) {
-    dests_.push_back(channel_local_line_addr(
-        org_, channel_,
-        region_id * (config_.wl_region_lines + 1) + slot));
-  }
+  dests_.clear();
+  for (const usize slot : slots_) dests_.push_back(physical(region_id, slot));
   migrations_ += dests_.size();
-  return dests_;
+  return landed;
 }
 
 double WearLevelTranslator::uniformity() const {

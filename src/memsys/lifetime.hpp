@@ -4,9 +4,9 @@
 // The scheduler simulation priced faults in time (memsys/ras.hpp) but ran
 // on media that never aged: per-line wear existed only in the synchronous
 // NvmDevice path and the src/wear levelers were never consulted by a
-// ChannelShard. This module closes that gap. Three mechanisms, all owned
-// by the shard's FaultDomain (or the shard itself) so they inherit the
-// share-nothing determinism contract:
+// ChannelShard. This module closes that gap. Three mechanisms, their
+// per-line state kept by the shard's FaultDomain (the translator by the
+// shard) so they inherit the share-nothing determinism contract:
 //
 //   * Endurance: every line draws a write-endurance limit from a lognormal
 //     process-variation model, keyed (seed, channel, line) — serial and
@@ -19,7 +19,7 @@
 //     degradation.
 //   * Retention drift: each line carries a last-write virtual timestamp;
 //     read/scrub error probability grows with time-since-write,
-//     1 - exp(-age/tau), via draws keyed (line, write_seq, read_seq). A
+//     1 - exp(-age/tau), via draws keyed (line, writes, reads). A
 //     scrub correction writes the image back and resets the drift clock,
 //     making the scrub interval a real drift-vs-bandwidth trade-off.
 //   * Wear leveling: a channel-local WearLevelTranslator runs a src/wear
@@ -60,6 +60,11 @@ enum class WearLevelerKind : u8 {
 inline constexpr double kMigrationWearFlips =
     static_cast<double>(kLineBits) / 2.0;
 
+/// Energy charged per migration write: one line read (512 bit * 0.2 pJ)
+/// plus a half-line differential write at the mean SET/RESET cost
+/// ((13.5 + 19.2) / 2 pJ * 256) — see nvm/energy_model.hpp defaults.
+inline constexpr double kMigrationEnergyPj = 4288.0;
+
 struct LifetimeConfig {
   /// Median per-line endurance in cell flips (0 = endurance off). The
   /// paper quotes 1e8..1e10 writes for PCM; at line granularity the knob
@@ -86,10 +91,6 @@ struct LifetimeConfig {
   usize wl_interval = 128;
   /// Lines per leveling region (power of two for Security Refresh).
   usize wl_region_lines = 1024;
-  /// Energy charged per migration write: one line read (512 bit * 0.2 pJ)
-  /// plus a half-line differential write at the mean SET/RESET cost
-  /// ((13.5 + 19.2) / 2 pJ * 256) — see nvm/energy_model.hpp defaults.
-  double wl_migrate_pj = 4288.0;
   /// Seed of the endurance/drift draw cascade (independent of the fault
   /// injector's so lifetime and fault streams never alias).
   u64 seed = 0x11fe;
@@ -127,55 +128,72 @@ struct LifetimeStats {
   [[nodiscard]] bool operator==(const LifetimeStats&) const = default;
 };
 
-/// Per-line endurance and drift state of one channel. Owned by the
-/// shard's FaultDomain; every draw is keyed (seed, channel, line,
-/// sequence), never by call order, so a shard's aging stream is a pure
-/// function of its own arrival sequence.
+/// Aging state of one line. FaultDomain keeps one per line it has served,
+/// slot-indexed next to the line's fault state, while aging is on.
+struct LineLife {
+  double wear = 0.0;
+  double limit = 0.0;
+  double last_write_ns = 0.0;
+  u64 writes = 0;  ///< drift draw key (high half)
+  u64 reads = 0;   ///< drift draw key (low half)
+  bool tracked = false;  ///< endurance drawn (counted in lines_tracked)
+};
+
+/// Key of a line's retention-drift draw after `writes` writes and `reads`
+/// earlier reads: `seq` = (writes << 32) | reads over the low halves, and
+/// `high` the high halves, folded into the draw only when non-zero. Below
+/// 2^32 the key is the plain 64-bit one; no pair repeats a key above it.
+struct DriftKey {
+  u64 seq = 0;
+  u64 high = 0;
+  [[nodiscard]] bool operator==(const DriftKey&) const = default;
+};
+[[nodiscard]] constexpr DriftKey drift_key(u64 writes, u64 reads) noexcept {
+  return {(writes << 32) | (reads & 0xffff'ffffu),
+          ((writes >> 32) << 32) | (reads >> 32)};
+}
+
+/// The aging model of one channel: the keyed endurance draw, wear accrual
+/// and the drift probability, as functions over a line's LineLife record
+/// (the caller owns the records), plus the channel's LifetimeStats. Every
+/// draw is keyed (seed, channel, line, sequence), never by call order, so
+/// a shard's aging stream is a pure function of its own arrival sequence.
 class LifetimeEngine {
  public:
   LifetimeEngine(const LifetimeConfig& config, usize channel);
 
-  struct WearOutcome {
-    bool worn = false;  ///< this write crossed the line's endurance limit
-  };
   /// Accrues `flips` (age-scaled) of wear for one array write and resets
-  /// the drift clock.
-  WearOutcome on_write(u64 line, double flips, double now_ns);
+  /// the drift clock; true when this write crossed the endurance limit.
+  bool on_write(u64 line, LineLife& life, double flips, double now_ns);
 
   /// Retention-drift draw for one array read: true = the read sees a
   /// drifted (disturb-equivalent) error.
-  [[nodiscard]] bool drift_on_read(u64 line, double now_ns);
-
-  /// Scrub wrote the corrected image back: restart the drift clock.
-  void refresh(u64 line, double now_ns);
+  [[nodiscard]] bool drift_on_read(u64 line, LineLife& life, double now_ns);
 
   /// SAFER re-partition of a worn line: extends its limit by
   /// safer_relief and counts the crossing as absorbed.
-  void relieve(u64 line);
+  void relieve(u64 line, LineLife& life);
   /// A worn line was retired into the spare pool.
   void note_retired() noexcept { ++stats_.wear_retired; }
+  /// One leveler migration copy: its bank time and energy.
+  void note_migration(double copy_ns) noexcept {
+    stats_.wl_busy_ns += copy_ns;
+    stats_.wl_energy_pj += kMigrationEnergyPj;
+  }
 
-  /// Sampled endurance limit of `line` (for tests; materializes state).
-  [[nodiscard]] double limit_flips(u64 line);
+  /// Sampled endurance limit of `line` (for tests; tracks the record).
+  [[nodiscard]] double limit_flips(u64 line, LineLife& life);
 
   [[nodiscard]] const LifetimeStats& stats() const noexcept {
     return stats_;
   }
 
  private:
-  struct LineLife {
-    double wear = 0.0;
-    double limit = 0.0;
-    double last_write_ns = 0.0;
-    u32 writes = 0;  ///< drift draw key (high half)
-    u32 reads = 0;   ///< drift draw key (low half)
-  };
-
-  LineLife& touch(u64 line);
+  /// Draws the line's endurance limit on the model's first touch.
+  LineLife& track(u64 line, LineLife& life);
 
   LifetimeConfig config_;
   usize channel_;
-  std::unordered_map<u64, LineLife> lines_;
   LifetimeStats stats_;
 };
 
@@ -217,10 +235,14 @@ class WearLevelTranslator {
   /// must be homed on this translator's channel).
   [[nodiscard]] u64 translate(u64 line_addr);
 
-  /// Observes one demand-write arrival to logical `line_addr`, advancing
-  /// the region's leveler; returns the physical line addresses written by
-  /// any migration steps it triggered (buffer reused across calls).
-  const std::vector<u64>& on_write(u64 line_addr);
+  /// One demand-write arrival to logical `line_addr`: returns the physical
+  /// line it lands on (the mapping before this write), then advances the
+  /// region's leveler, looking the region up once. migrated() lists the
+  /// physical lines the migration steps it triggered wrote.
+  u64 translate_write(u64 line_addr);
+  [[nodiscard]] const std::vector<u64>& migrated() const noexcept {
+    return dests_;
+  }
 
   [[nodiscard]] u64 demand_writes() const noexcept { return demand_writes_; }
   [[nodiscard]] u64 migrations() const noexcept { return migrations_; }
@@ -230,6 +252,8 @@ class WearLevelTranslator {
 
  private:
   WearLeveler& region(u64 region_id);
+  /// Channel-local address of slot `slot` of region `region_id`.
+  [[nodiscard]] u64 physical(u64 region_id, usize slot) const noexcept;
 
   LifetimeConfig config_;
   MemOrg org_;

@@ -23,6 +23,9 @@ constexpr u64 kSaltRead = 3;
 // is counted, never silently dropped.
 constexpr usize kMaxEventsPerShard = 32;
 
+// Aging records per block of FaultDomain::lives_ (a power of two).
+constexpr u32 kLifeBlock = 256;
+
 }  // namespace
 
 void RasConfig::validate() const {
@@ -34,8 +37,6 @@ void RasConfig::validate() const {
   require(degrade_ue_threshold >= 1,
           "degrade threshold must be at least one uncorrectable error");
   require(remap_queue_capacity >= 1, "remap queue must hold something");
-  require(remap_drain_ns > 0.0 && remap_penalty_ns >= 0.0,
-          "remap drain must be positive and the penalty non-negative");
   require(kill_at_ns >= 0.0, "kill time must be non-negative");
   lifetime.validate();
 }
@@ -113,20 +114,39 @@ u64 ras_remap_line(const MemOrg& org, u64 addr,
   return addr;  // unreachable
 }
 
+double FaultDomain::Outcome::bank_ns(const MemOrg& org) const noexcept {
+  const double tw = org.t_write_ns;
+  double ns = 0.0;
+  if (retries > 0) ns += tw * static_cast<double>((u64{1} << retries) - 1);
+  if (corrected) ns += tw;
+  if (remapped) ns += tw;
+  if (retired) ns += org.t_read_ns + tw;
+  return ns;
+}
+
 FaultDomain::FaultDomain(const RasConfig& config, usize channel)
     : config_{config}, channel_{channel}, injector_{config.inject} {
   config_.validate();
-  if (config_.lifetime.enabled()) {
-    life_.emplace(config_.lifetime, channel);
-  }
+  if (config_.lifetime.enabled()) life_.emplace(config_.lifetime, channel);
   stats_.spares_left = config_.spare_lines;
   events_.reserve(kMaxEventsPerShard);
 }
 
 FaultDomain::LineState& FaultDomain::touch(u64 line) {
-  auto [it, inserted] = lines_.try_emplace(line);
-  if (inserted) touched_.push_back(line);
+  const auto [it, inserted] = lines_.try_emplace(line);
+  if (inserted) {
+    require(touched_.size() < (u64{1} << 32), "too many lines on one channel");
+    it->second.slot = static_cast<u32>(touched_.size());
+    touched_.push_back(line);
+    if (life_ && it->second.slot % kLifeBlock == 0) {
+      lives_.push_back(std::make_unique<LineLife[]>(kLifeBlock));
+    }
+  }
   return it->second;
+}
+
+LineLife& FaultDomain::life_of(const LineState& st) noexcept {
+  return lives_[st.slot / kLifeBlock][st.slot % kLifeBlock];
 }
 
 void FaultDomain::log(double now_ns, RasEventKind kind, u64 line) {
@@ -144,25 +164,40 @@ void FaultDomain::trip(double now_ns, RasEventKind why) {
   log(now_ns, why, 0);
 }
 
-void FaultDomain::retire(u64 line, LineState& st, double now_ns) {
+void FaultDomain::retire(u64 line, LineState& st, double now_ns,
+                         Outcome& out) {
   if (st.retired) return;  // idempotent: one spare per line, ever
   st.retired = true;
+  out.retired = true;
   ++stats_.retired_lines;
   log(now_ns, RasEventKind::kRetire, line);
-  if (stats_.spares_left > 0) {
-    --stats_.spares_left;
-    if (stats_.spares_left == 0) {
-      trip(now_ns, RasEventKind::kDegradeSpares);
-    }
+  if (stats_.spares_left > 0) --stats_.spares_left;
+  if (stats_.spares_left == 0) trip(now_ns, RasEventKind::kDegradeSpares);
+}
+
+void FaultDomain::escalate(u64 line, LineState& st, double flips,
+                           bool faulted, double now_ns, Outcome& out) {
+  // Endurance: the write accrues its flip cost (re-pulses stress cells
+  // too but are already priced in the pulse ladder).
+  if (life_) out.worn = life_->on_write(line, life_of(st), flips, now_ns);
+  if (!faulted && !out.worn) return;
+  if (st.remaps < config_.safer_remap_limit) {
+    st.remaps = static_cast<u8>(st.remaps + 1);
+    ++stats_.safer_remaps;
+    out.remapped = true;
+    log(now_ns, RasEventKind::kSaferRemap, line);
+    // Re-partitioning spreads the hot positions into fresh cells, so a
+    // worn line buys itself a slice of extra endurance.
+    if (out.worn) life_->relieve(line, life_of(st));
   } else {
-    trip(now_ns, RasEventKind::kDegradeSpares);
+    retire(line, st, now_ns, out);
+    if (out.worn) life_->note_retired();
   }
 }
 
-FaultDomain::WriteOutcome FaultDomain::on_array_write(u64 line,
-                                                      double now_ns) {
+FaultDomain::Outcome FaultDomain::on_array_write(u64 line, double now_ns) {
   poll(now_ns);
-  WriteOutcome out;
+  Outcome out;
   LineState& st = touch(line);
   const u64 seq = st.write_seq++;
   if (st.retired) {
@@ -196,82 +231,45 @@ FaultDomain::WriteOutcome FaultDomain::on_array_write(u64 line,
     st.stuck = static_cast<u8>(std::min<u32>(st.stuck + 1u, 255u));
     ++stats_.stuck_cells;
   }
-  // Endurance: the write accrues the per-scheme flip cost; the re-pulses
-  // above stress cells too but are already priced in the retry ladder.
-  if (life_) {
-    out.worn =
-        life_
-            ->on_write(line, config_.lifetime.wear_per_write_flips, now_ns)
-            .worn;
-  }
-
-  // Escalation: a ladder that ran dry, more stuck cells than the encoder
-  // can mask, or an endurance crossing goes to SAFER re-partition; a line
-  // out of SAFER budget is retired into the spare pool.
-  if (out.exhausted || st.stuck > config_.stuck_cell_budget || out.worn) {
-    if (st.remaps < config_.safer_remap_limit) {
-      st.remaps = static_cast<u8>(st.remaps + 1);
-      ++stats_.safer_remaps;
-      out.remapped = true;
-      log(now_ns, RasEventKind::kSaferRemap, line);
-      // Re-partitioning spreads the hot positions into fresh cells, so a
-      // worn line buys itself a slice of extra endurance.
-      if (out.worn) life_->relieve(line);
-    } else {
-      retire(line, st, now_ns);
-      out.retired = true;
-      if (out.worn) life_->note_retired();
-    }
-  }
+  // A ladder that ran dry or more stuck cells than the encoder can mask
+  // escalates, as does an endurance crossing.
+  escalate(line, st, config_.lifetime.wear_per_write_flips,
+           out.exhausted || st.stuck > kStuckCellBudget, now_ns, out);
   return out;
 }
 
-FaultDomain::MigrateOutcome FaultDomain::escalate_worn(u64 line,
-                                                       LineState& st,
-                                                       double now_ns) {
-  MigrateOutcome out;
-  if (st.remaps < config_.safer_remap_limit) {
-    st.remaps = static_cast<u8>(st.remaps + 1);
-    ++stats_.safer_remaps;
-    out.remapped = true;
-    log(now_ns, RasEventKind::kSaferRemap, line);
-    life_->relieve(line);
-  } else {
-    retire(line, st, now_ns);
-    out.retired = true;
-    life_->note_retired();
-  }
-  return out;
-}
-
-FaultDomain::MigrateOutcome FaultDomain::on_migration_write(u64 line,
-                                                            double now_ns) {
-  MigrateOutcome out;
+FaultDomain::Outcome FaultDomain::on_migration_write(u64 line, double now_ns,
+                                                     double copy_ns) {
+  Outcome out;
   if (!life_) return out;
+  life_->note_migration(copy_ns);
   LineState& st = touch(line);
   if (st.retired) {
     ++stats_.spare_writes;
+    out.spare = true;
     return out;
   }
-  if (life_->on_write(line, kMigrationWearFlips, now_ns).worn) {
-    out = escalate_worn(line, st, now_ns);
-  }
+  escalate(line, st, kMigrationWearFlips, false, now_ns, out);
   return out;
 }
 
-FaultDomain::ReadOutcome FaultDomain::on_demand_read(u64 line,
-                                                     double now_ns) {
-  poll(now_ns);
-  ReadOutcome out;
-  LineState& st = touch(line);
+FaultDomain::Outcome FaultDomain::read_array(u64 line, LineState& st, u64& ue,
+                                             double now_ns) {
+  Outcome out;
   const u64 seq = st.read_seq++;
-  if (st.retired) return out;  // spares read cleanly
+  if (st.retired) {
+    out.spare = true;  // spares read cleanly
+    return out;
+  }
+  // Scrub reads are array reads too: they can disturb the line they
+  // clean (same keyed draw stream as demand reads) and see retention
+  // drift like demand reads do.
   Xoshiro256 rng =
       injector_.event_rng(line, seq, ras_salt(channel_, kSaltRead));
   u32 hits = rng.next_bool(config_.inject.read_disturb_rate) ? 1u : 0u;
   // Retention drift reads back as a disturb-equivalent error: the cell
   // relaxed since the last write, SECDED sees a flipped bit.
-  if (life_ && life_->drift_on_read(line, now_ns)) ++hits;
+  if (life_ && life_->drift_on_read(line, life_of(st), now_ns)) ++hits;
   if (hits == 0) return out;
   out.disturbed = true;
   stats_.read_disturbs += hits;
@@ -280,9 +278,9 @@ FaultDomain::ReadOutcome FaultDomain::on_demand_read(u64 line,
     // SECDED(72,64) corrects one error; two accumulated disturbs are
     // detected but uncorrectable. Recover from the spare pool.
     out.uncorrectable = true;
-    ++stats_.ue_demand;
+    ++ue;
     log(now_ns, RasEventKind::kUncorrectable, line);
-    retire(line, st, now_ns);
+    retire(line, st, now_ns, out);
     if (stats_.uncorrectable() >= config_.degrade_ue_threshold) {
       trip(now_ns, RasEventKind::kDegradeUes);
     }
@@ -290,50 +288,25 @@ FaultDomain::ReadOutcome FaultDomain::on_demand_read(u64 line,
   return out;
 }
 
-FaultDomain::ScrubOutcome FaultDomain::on_scrub_read(u64 line,
-                                                     double now_ns) {
-  ScrubOutcome out;
+FaultDomain::Outcome FaultDomain::on_demand_read(u64 line, double now_ns) {
+  poll(now_ns);
+  return read_array(line, touch(line), stats_.ue_demand, now_ns);
+}
+
+FaultDomain::Outcome FaultDomain::on_scrub_read(u64 line, double now_ns) {
   ++stats_.scrub_reads;
   LineState& st = touch(line);
-  const u64 seq = st.read_seq++;
-  if (st.retired) return out;
-  // A scrub read is still an array read: it can disturb the line it is
-  // trying to clean (same keyed draw stream as demand reads), and it sees
-  // retention drift exactly like a demand read does.
-  Xoshiro256 rng =
-      injector_.event_rng(line, seq, ras_salt(channel_, kSaltRead));
-  u32 hits = rng.next_bool(config_.inject.read_disturb_rate) ? 1u : 0u;
-  if (life_ && life_->drift_on_read(line, now_ns)) ++hits;
-  stats_.read_disturbs += hits;
-  st.disturbs = static_cast<u8>(std::min<u32>(st.disturbs + hits, 255u));
-  if (st.disturbs >= 2) {
-    out.uncorrectable = true;
-    ++stats_.ue_scrub;
-    log(now_ns, RasEventKind::kUncorrectable, line);
-    retire(line, st, now_ns);
-    if (stats_.uncorrectable() >= config_.degrade_ue_threshold) {
-      trip(now_ns, RasEventKind::kDegradeUes);
-    }
-  } else if (st.disturbs == 1) {
-    // SECDED corrects the single flip; write the clean image back so the
-    // disturb count restarts from zero — the whole point of scrubbing.
-    st.disturbs = 0;
-    ++stats_.scrub_corrections;
-    out.corrected = true;
-    if (life_) {
-      // The write-back restarts the drift clock (on_write stamps the
-      // line) but is itself an array write: it wears the line, and a
-      // crossing escalates right here.
-      if (life_
-              ->on_write(line, config_.lifetime.wear_per_write_flips,
-                         now_ns)
-              .worn) {
-        const MigrateOutcome esc = escalate_worn(line, st, now_ns);
-        out.remapped = esc.remapped;
-        out.retired_worn = esc.retired;
-      }
-    }
-  }
+  Outcome out = read_array(line, st, stats_.ue_scrub, now_ns);
+  if (out.spare || out.uncorrectable || st.disturbs != 1) return out;
+  // SECDED corrects the single flip; write the clean image back so the
+  // disturb count restarts from zero — the whole point of scrubbing. The
+  // write-back restarts the drift clock but is itself an array write: it
+  // wears the line, and a crossing escalates right here.
+  st.disturbs = 0;
+  ++stats_.scrub_corrections;
+  out.corrected = true;
+  escalate(line, st, config_.lifetime.wear_per_write_flips, false, now_ns,
+           out);
   return out;
 }
 
@@ -341,8 +314,7 @@ std::optional<u64> FaultDomain::next_scrub_target() {
   for (usize scanned = 0; scanned < touched_.size(); ++scanned) {
     if (scrub_cursor_ >= touched_.size()) scrub_cursor_ = 0;
     const u64 line = touched_[scrub_cursor_++];
-    const auto it = lines_.find(line);
-    if (it != lines_.end() && !it->second.retired) return line;
+    if (!lines_.find(line)->second.retired) return line;
   }
   return std::nullopt;
 }
@@ -350,8 +322,8 @@ std::optional<u64> FaultDomain::next_scrub_target() {
 double FaultDomain::on_remap_in(double now_ns) {
   ++stats_.remapped_in;
   // Token-bucket queue in virtual time: depth decays at one slot per
-  // remap_drain_ns since the last arrival, then this arrival takes a slot.
-  const double drained = (now_ns - remap_last_ns_) / config_.remap_drain_ns;
+  // kRemapDrainNs since the last arrival, then this arrival takes a slot.
+  const double drained = (now_ns - remap_last_ns_) / kRemapDrainNs;
   remap_depth_ = std::max(0.0, remap_depth_ - drained) + 1.0;
   remap_last_ns_ = now_ns;
   const double cap = static_cast<double>(config_.remap_queue_capacity);
@@ -361,7 +333,7 @@ double FaultDomain::on_remap_in(double now_ns) {
   // capped so one hot survivor cannot stall virtual time indefinitely.
   const u64 over = std::min<u64>(
       static_cast<u64>(remap_depth_ - cap), 6);
-  return config_.remap_penalty_ns *
+  return kRemapPenaltyNs *
          static_cast<double>(u64{1} << (over > 0 ? over - 1 : 0));
 }
 

@@ -23,8 +23,10 @@
 // and sharded runs with faults enabled are bit-identical at any --jobs.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +37,13 @@
 
 namespace nvmenc {
 
+/// Stuck cells a line tolerates before escalating to SAFER.
+inline constexpr usize kStuckCellBudget = 2;
+/// Remapping queue: a slot drains per kRemapDrainNs of virtual time; the
+/// first overflowing arrival pays kRemapPenaltyNs, doubling per slot over.
+inline constexpr double kRemapDrainNs = 100.0;
+inline constexpr double kRemapPenaltyNs = 250.0;
+
 struct RasConfig {
   /// Fault rates and seed, reusing the controller-path injector config:
   /// write_fail_rate is per array-write line pulse, read_disturb_rate per
@@ -44,8 +53,6 @@ struct RasConfig {
   /// this many times (each re-pulse exponentially longer) before the
   /// write escalates to SAFER re-partition.
   usize retry_limit = 3;
-  /// Stuck cells a line tolerates before escalating to SAFER.
-  usize stuck_cell_budget = 2;
   /// SAFER re-partitions a line may consume before it is retired.
   usize safer_remap_limit = 2;
   /// Per-channel spare pool; retirement consumes one spare line.
@@ -58,11 +65,9 @@ struct RasConfig {
   /// Uncorrectable errors (SECDED double faults) that trip a channel.
   usize degrade_ue_threshold = 4;
   /// Bounded remapping queue absorbed by each surviving channel: slots
-  /// drain one per remap_drain_ns of virtual time; arrivals beyond the
+  /// drain one per kRemapDrainNs of virtual time; arrivals beyond the
   /// capacity pay an exponentially growing congestion-backoff charge.
   usize remap_queue_capacity = 32;
-  double remap_drain_ns = 100.0;
-  double remap_penalty_ns = 250.0;
   /// Scripted media failure (tests / the kill-one-channel-mid-replay
   /// scenario): channel `kill_channel` trips at `kill_at_ns` of virtual
   /// time. -1 = no scripted kill.
@@ -166,57 +171,54 @@ struct RasReport {
 [[nodiscard]] u64 ras_remap_line(const MemOrg& org, u64 addr,
                                  const std::vector<u8>& degraded) noexcept;
 
-/// One channel's fault domain: the seeded fault oracle plus the per-line
-/// recovery state machine (pulse ladder -> SAFER -> retirement -> spare)
-/// and the channel's availability state (spares, UEs, degraded). Owned by
-/// a ChannelShard; not thread-safe (shards share nothing).
+/// One channel's media model: the seeded fault oracle, the aging model,
+/// each line's fault and wear state, the recovery ladder (pulse ladder ->
+/// SAFER -> retirement -> spare) and the channel's availability (spares,
+/// UEs, degraded). It decides all recovery work; Outcome::bank_ns prices
+/// it. Owned by a ChannelShard; not thread-safe (shards share nothing).
 class FaultDomain {
  public:
   FaultDomain(const RasConfig& config, usize channel);
 
-  /// Outcome of one array write, with the recovery work the shard must
-  /// charge to the bank in virtual time.
-  struct WriteOutcome {
-    usize retries = 0;      ///< failed pulses re-issued
-    bool exhausted = false; ///< ladder ran out (escalated)
-    bool remapped = false;  ///< SAFER re-partition rewrote the line
-    bool retired = false;   ///< line moved to a spare this write
-    bool spare = false;     ///< served by an already-retired line's spare
-    bool worn = false;      ///< this write crossed the endurance limit
-  };
-  WriteOutcome on_array_write(u64 line, double now_ns);
+  /// What one array operation did to its line, and so the recovery work
+  /// the shard charges to the bank in virtual time.
+  struct Outcome {
+    u32 retries = 0;         ///< failed pulses re-issued
+    bool exhausted = false;  ///< pulse ladder ran out (escalated)
+    bool spare = false;      ///< line already retired: a spare served it
+    bool worn = false;       ///< this write crossed the endurance limit
+    bool disturbed = false;  ///< the read drew a disturb or drift error
+    bool corrected = false;  ///< scrub wrote the corrected image back
+    bool remapped = false;   ///< SAFER re-partition rewrote the line
+    bool retired = false;    ///< line moved to a spare this operation
+    bool uncorrectable = false;  ///< SECDED double fault (line retired)
 
-  /// One wear-leveling migration write landing on physical `line`: no
-  /// fault draws (migrations copy verified images), but the destination
-  /// pays endurance wear and a worn destination escalates through the
-  /// ladder like any other crossing.
-  struct MigrateOutcome {
-    bool remapped = false;  ///< worn destination absorbed by SAFER
-    bool retired = false;   ///< worn destination retired to a spare
+    /// Bank time of the recovery work, summed in this order: re-pulses
+    /// (re-pulse r costs 2^(r-1) array writes), the scrub write-back and
+    /// the SAFER rewrite (one write each), then the retirement copy or
+    /// UE rebuild (read + write).
+    [[nodiscard]] double bank_ns(const MemOrg& org) const noexcept;
   };
-  MigrateOutcome on_migration_write(u64 line, double now_ns);
 
-  struct ReadOutcome {
-    bool disturbed = false;
-    bool uncorrectable = false;  ///< SECDED double fault: line retired
-  };
-  ReadOutcome on_demand_read(u64 line, double now_ns);
+  Outcome on_array_write(u64 line, double now_ns);
+
+  /// One wear-leveling migration write to physical `line`: no fault draws
+  /// (migrations copy verified images), but wear and escalation like any
+  /// write. The copy's `copy_ns` of bank time and its energy accrue with
+  /// the lifetime statistics.
+  Outcome on_migration_write(u64 line, double now_ns, double copy_ns);
+
+  Outcome on_demand_read(u64 line, double now_ns);
 
   /// Scrub-on-read: corrects a single accumulated disturb (writing the
-  /// clean image back), escalates a double fault to retirement.
-  struct ScrubOutcome {
-    bool corrected = false;      ///< clean image written back
-    bool uncorrectable = false;  ///< SECDED double fault: line retired
-    bool remapped = false;       ///< write-back wore the line: SAFER
-    bool retired_worn = false;   ///< write-back wore the line: retired
-  };
-  ScrubOutcome on_scrub_read(u64 line, double now_ns);
+  /// clean image back, which wears the line), escalates a double fault to
+  /// retirement.
+  Outcome on_scrub_read(u64 line, double now_ns);
 
   /// Accounts one request remapped in from a degraded channel through the
-  /// bounded remapping queue: queue slots drain one per remap_drain_ns of
-  /// virtual time, and arrivals beyond the capacity return an
-  /// exponentially growing congestion-backoff charge (ns of bank
-  /// occupancy the shard must apply); 0 when the queue has room.
+  /// bounded remapping queue: an arrival beyond its capacity returns an
+  /// exponentially growing congestion backoff (ns of bank occupancy the
+  /// shard must apply); 0 while the queue has room.
   [[nodiscard]] double on_remap_in(double now_ns);
 
   /// Next line the background scrub should read (round-robin over the
@@ -240,43 +242,66 @@ class FaultDomain {
   [[nodiscard]] u64 events_dropped() const noexcept { return dropped_; }
   [[nodiscard]] const RasConfig& config() const noexcept { return config_; }
 
-  /// Aging engine, or nullptr when the lifetime model is off.
+  /// Aging model, or nullptr when the lifetime model is off.
   [[nodiscard]] const LifetimeEngine* lifetime() const noexcept {
     return life_ ? &*life_ : nullptr;
   }
   /// Lines this channel has ever served (retired ones included) — the
   /// denominator of the survivor-capacity metric.
   [[nodiscard]] usize lines_touched() const noexcept {
-    return lines_.size();
+    return touched_.size();
   }
 
  private:
+  /// Fault state of one line, held in the line's map node; `slot` is the
+  /// line's first-touch index into touched_ and lives_ (u32 keeps the
+  /// node at 40 bytes; touch() refuses a 2^32nd line).
   struct LineState {
-    u32 write_seq = 0;   ///< per-line write event counter (draw key)
-    u32 read_seq = 0;    ///< per-line read event counter (draw key)
+    u64 write_seq = 0;   ///< per-line write event counter (draw key)
+    u64 read_seq = 0;    ///< per-line read event counter (draw key)
+    u32 slot = 0;
     u8 stuck = 0;        ///< hard-stuck cells accumulated
     u8 disturbs = 0;     ///< read disturbs since the last scrub
     u8 remaps = 0;       ///< SAFER re-partitions consumed
     bool retired = false;
   };
+  static_assert(std::is_same_v<decltype(LineState::write_seq), u64> &&
+                    std::is_same_v<decltype(LineState::read_seq), u64>,
+                "fault draw keys must not wrap at run-to-failure scale");
 
+  /// The record of `line`, made (with its aging record when aging is on)
+  /// on first touch: the one lookup of each array operation.
   LineState& touch(u64 line);
+  /// The array read demand and scrub reads share: the disturb and drift
+  /// draws, then SECDED — a second error is uncorrectable (counted in
+  /// `ue`), retires the line and may trip the UE threshold.
+  Outcome read_array(u64 line, LineState& st, u64& ue, double now_ns);
+  /// The ladder every array write shares (demand, scrub write-back,
+  /// migration): accrue `flips` of wear (aging on), then a fault or an
+  /// endurance crossing takes a SAFER re-partition while the line has
+  /// budget (a worn line's limit relieved), else retires it.
+  void escalate(u64 line, LineState& st, double flips, bool faulted,
+                double now_ns, Outcome& out);
   /// Idempotent: a line that is already retired consumes nothing, so a
   /// demand-write failure and a scrub UE on the same line in the same
-  /// epoch retire it exactly once.
-  void retire(u64 line, LineState& st, double now_ns);
+  /// epoch retire it exactly once. Spare exhaustion trips the channel.
+  void retire(u64 line, LineState& st, double now_ns, Outcome& out);
   void trip(double now_ns, RasEventKind why);
   void log(double now_ns, RasEventKind kind, u64 line);
-  /// Sends an endurance crossing through the SAFER -> retire ladder.
-  /// Returns {remapped, retired}.
-  MigrateOutcome escalate_worn(u64 line, LineState& st, double now_ns);
+  /// The aging record of a line (aging on).
+  LineLife& life_of(const LineState& st) noexcept;
 
   RasConfig config_;
   usize channel_;
   FaultInjector injector_;  ///< the seeded draw cascade (and its config)
   std::optional<LifetimeEngine> life_;  ///< aging (lifetime.enabled() only)
-  std::unordered_map<u64, LineState> lines_;
-  std::vector<u64> touched_;  ///< first-touch order: the scrub scan list
+  std::unordered_map<u64, LineState> lines_;  ///< the one per-line map
+  /// Slot-indexed: each line in first-touch order (the scrub scan list),
+  /// and its aging record (none with aging off) in fixed blocks that
+  /// never move, so growth neither copies records nor strands a buffer
+  /// and a lookup is a shift and a mask.
+  std::vector<u64> touched_;
+  std::vector<std::unique_ptr<LineLife[]>> lives_;
   usize scrub_cursor_ = 0;
   double remap_depth_ = 0.0;    ///< remapping-queue fill (drains linearly)
   double remap_last_ns_ = 0.0;  ///< last drain timestamp

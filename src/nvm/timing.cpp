@@ -39,7 +39,7 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
     bank.row_valid = true;
   }
   if (op == MemOp::kRead) {
-    service += org_.decode_latency_ns + org_.t_read_ns;
+    service += org_.t_read_ns;
   } else {
     service += org_.encode_latency_ns + org_.t_write_ns;
   }

@@ -33,7 +33,6 @@ struct MemOrg {
   double t_row_cycle_ns = 60.0;    ///< precharge + activate on a row miss
   double t_bus_ns = 8.0;           ///< line transfer on the channel bus
   double encode_latency_ns = 0.0;  ///< added to writes (paper: 3.47)
-  double decode_latency_ns = 0.0;  ///< added to reads (paper: ~0)
 
   void validate() const {
     require(channels >= 1 && ranks >= 1 && banks >= 1,

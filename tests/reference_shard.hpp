@@ -3,8 +3,11 @@
 //
 // ReferenceShard recomputes wake() from scratch on every query, walking
 // every queued read and write, and issue_read() scans the whole read
-// queue. ReferenceSystem is MemorySystem's router over reference shards:
-// the same ticket allocation, cross-shard step_until and drain_all.
+// queue. Its FaultDomain, LifetimeEngine and WearLevelTranslator are the
+// earlier media model of reference_ras.hpp (this namespace's copies), and
+// it books migration time and energy itself, as that model needed.
+// ReferenceSystem is MemorySystem's router over reference shards: the
+// same ticket allocation, cross-shard step_until and drain_all.
 // test_shard_differential.cpp feeds both engines the same streams and
 // holds the production ChannelShard and MemorySystem to these
 // completion for completion.
@@ -20,6 +23,7 @@
 #include "common/flat_set.hpp"
 #include "common/ring_buffer.hpp"
 #include "memsys/memory_system.hpp"
+#include "reference_ras.hpp"
 
 namespace nvmenc::testutil {
 
@@ -303,7 +307,7 @@ class ReferenceShard {
       const double copy = timing_.org().t_read_ns + timing_.org().t_write_ns;
       timing_.occupy_bank(where.bank, now_ns, copy);
       wl_busy_ns_ += copy;
-      wl_energy_pj_ += ras_->config().lifetime.wl_migrate_pj;
+      wl_energy_pj_ += kMigrationEnergyPj;
       const FaultDomain::MigrateOutcome out =
           ras_->on_migration_write(dest, now_ns);
       double extra = 0.0;

@@ -17,6 +17,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -68,12 +70,16 @@ TEST(LifetimeEngineTest, EnduranceDrawsAreKeyedNotCallOrdered) {
   LifetimeEngine rev{cfg, 2};
   std::vector<u64> lines;
   for (u64 l = 0; l < 64; ++l) lines.push_back(l * 131 + 7);
+  std::vector<LineLife> fwd_lives(lines.size());
+  std::vector<LineLife> rev_lives(lines.size());
 
   std::vector<double> a;
   std::vector<double> b;
-  for (const u64 l : lines) a.push_back(fwd.limit_flips(l));
+  for (usize i = 0; i < lines.size(); ++i) {
+    a.push_back(fwd.limit_flips(lines[i], fwd_lives[i]));
+  }
   for (usize i = lines.size(); i-- > 0;) {
-    b.push_back(rev.limit_flips(lines[i]));
+    b.push_back(rev.limit_flips(lines[i], rev_lives[i]));
   }
   std::reverse(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -87,7 +93,9 @@ TEST(LifetimeEngineTest, ChannelsSampleIndependentLimits) {
   LifetimeEngine ch1{cfg, 1};
   usize differing = 0;
   for (u64 l = 0; l < 32; ++l) {
-    if (ch0.limit_flips(l) != ch1.limit_flips(l)) ++differing;
+    LineLife on0;
+    LineLife on1;
+    if (ch0.limit_flips(l, on0) != ch1.limit_flips(l, on1)) ++differing;
   }
   EXPECT_GT(differing, 24u);  // lognormal draws; collisions are freak events
 }
@@ -98,7 +106,8 @@ TEST(LifetimeEngineTest, ZeroSigmaPinsEveryLimitToTheMedian) {
   cfg.endurance_sigma = 0.0;
   LifetimeEngine engine{cfg, 0};
   for (u64 l = 0; l < 16; ++l) {
-    EXPECT_DOUBLE_EQ(engine.limit_flips(l * 999), 5e4);
+    LineLife life;
+    EXPECT_DOUBLE_EQ(engine.limit_flips(l * 999, life), 5e4);
   }
 }
 
@@ -107,9 +116,10 @@ TEST(LifetimeEngineTest, WearCrossesTheLimitExactlyOnce) {
   cfg.endurance_mean_flips = 100.0;
   cfg.endurance_sigma = 0.0;
   LifetimeEngine engine{cfg, 0};
-  EXPECT_FALSE(engine.on_write(7, 60.0, 1.0).worn);
-  EXPECT_TRUE(engine.on_write(7, 60.0, 2.0).worn);   // 120 >= 100
-  EXPECT_FALSE(engine.on_write(7, 60.0, 3.0).worn);  // already crossed
+  LineLife life;
+  EXPECT_FALSE(engine.on_write(7, life, 60.0, 1.0));
+  EXPECT_TRUE(engine.on_write(7, life, 60.0, 2.0));   // 120 >= 100
+  EXPECT_FALSE(engine.on_write(7, life, 60.0, 3.0));  // already crossed
   EXPECT_EQ(engine.stats().worn_lines, 1u);
   EXPECT_DOUBLE_EQ(engine.stats().first_wearout_ns, 2.0);
 }
@@ -120,7 +130,8 @@ TEST(LifetimeEngineTest, AgeMultiplierScalesWearAccrual) {
   cfg.endurance_sigma = 0.0;
   cfg.age_multiplier = 10.0;
   LifetimeEngine engine{cfg, 0};
-  EXPECT_TRUE(engine.on_write(1, 10.0, 1.0).worn);  // 10 * 10 >= 100
+  LineLife life;
+  EXPECT_TRUE(engine.on_write(1, life, 10.0, 1.0));  // 10 * 10 >= 100
 }
 
 TEST(LifetimeEngineTest, SaferReliefExtendsTheLimit) {
@@ -129,11 +140,12 @@ TEST(LifetimeEngineTest, SaferReliefExtendsTheLimit) {
   cfg.endurance_sigma = 0.0;
   cfg.safer_relief = 0.5;
   LifetimeEngine engine{cfg, 0};
-  EXPECT_TRUE(engine.on_write(3, 100.0, 1.0).worn);
-  engine.relieve(3);
-  EXPECT_DOUBLE_EQ(engine.limit_flips(3), 150.0);
-  EXPECT_FALSE(engine.on_write(3, 40.0, 2.0).worn);  // 140 < 150
-  EXPECT_TRUE(engine.on_write(3, 40.0, 3.0).worn);   // 180 >= 150
+  LineLife life;
+  EXPECT_TRUE(engine.on_write(3, life, 100.0, 1.0));
+  engine.relieve(3, life);
+  EXPECT_DOUBLE_EQ(engine.limit_flips(3, life), 150.0);
+  EXPECT_FALSE(engine.on_write(3, life, 40.0, 2.0));  // 140 < 150
+  EXPECT_TRUE(engine.on_write(3, life, 40.0, 3.0));   // 180 >= 150
 }
 
 // ---------------------------------------------------------------------------
@@ -147,15 +159,56 @@ TEST(LifetimeEngineTest, DriftGrowsWithTimeSinceWrite) {
   // 1; right after a refresh it approaches 0.
   usize stale_errors = 0;
   usize fresh_errors = 0;
-  for (u64 l = 0; l < 200; ++l) {
-    if (engine.drift_on_read(l, 1e6)) ++stale_errors;  // 100 tau stale
+  std::vector<LineLife> lives(200);
+  for (u64 l = 0; l < 200; ++l) {  // 100 tau stale
+    if (engine.drift_on_read(l, lives[l], 1e6)) ++stale_errors;
   }
   for (u64 l = 0; l < 200; ++l) {
-    engine.refresh(l, 1e6);
-    if (engine.drift_on_read(l, 1e6 + 1.0)) ++fresh_errors;
+    lives[l].last_write_ns = 1e6;  // a write-back restarts the drift clock
+    if (engine.drift_on_read(l, lives[l], 1e6 + 1.0)) ++fresh_errors;
   }
   EXPECT_GT(stale_errors, 190u);
   EXPECT_LT(fresh_errors, 10u);
+}
+
+TEST(LifetimeEngineTest, DriftKeySurvivesU32Overflow) {
+  // Run-to-failure scale: a line's drift counters pass 2^32. Below that
+  // the key is the classic (writes << 32) | reads; above it no (writes,
+  // reads) pair may repeat a key. (u32 counters wrapped to 0 and replayed
+  // the line's drift stream from its start.)
+  static_assert(std::is_same_v<decltype(LineLife{}.writes), u64>);
+  static_assert(std::is_same_v<decltype(LineLife{}.reads), u64>);
+  constexpr u64 k32 = u64{1} << 32;
+  EXPECT_EQ(drift_key(5, 7), (DriftKey{(u64{5} << 32) | 7, 0}));
+  EXPECT_EQ(drift_key(k32 - 1, k32 - 1), (DriftKey{~u64{0}, 0}));
+  const std::vector<std::pair<u64, u64>> counters = {
+      {0, 0},       {1, 0},       {0, 1},           {k32 - 1, k32 - 1},
+      {k32, 0},     {0, k32},     {k32, k32},       {k32 + 1, 0},
+      {0, k32 + 1}, {1, k32},     {k32, 1},         {2 * k32, 3},
+      {3, 2 * k32}, {k32 - 1, 0}, {~u64{0}, ~u64{0}}};
+  std::set<std::pair<u64, u64>> keys;
+  for (const auto& [writes, reads] : counters) {
+    const DriftKey key = drift_key(writes, reads);
+    EXPECT_TRUE(keys.insert({key.seq, key.high}).second)
+        << writes << " writes, " << reads << " reads repeat a key";
+  }
+  // The draw itself sees the high halves: 2^32 writes and 0 writes share
+  // the low 32 bits of the key, yet draw different drift streams.
+  LifetimeConfig cfg;
+  cfg.retention_tau_ns = 1e4;
+  LifetimeEngine engine{cfg, 0};
+  usize differing = 0;
+  for (u64 l = 0; l < 256; ++l) {
+    LineLife wrapped;
+    LineLife fresh;
+    wrapped.writes = k32;
+    const double half_life = 1e4 * 0.6931;  // p ~ 1/2
+    if (engine.drift_on_read(l, wrapped, half_life) !=
+        engine.drift_on_read(l, fresh, half_life)) {
+      ++differing;
+    }
+  }
+  EXPECT_GT(differing, 64u);
 }
 
 TEST(ScrubDriftTest, ScrubIntervalTradesBandwidthAgainstDriftDamage) {
@@ -225,7 +278,11 @@ TEST(WearLevelTranslatorTest, StartGapFullRotationStaysBijective) {
   const usize logical_lines = 32;  // 4 regions of 8
   for (usize sweep = 0; sweep < 12; ++sweep) {
     for (usize idx = 0; idx < logical_lines; ++idx) {
-      tr.on_write(channel_local_line_addr(org, channel, idx));
+      // A write lands on the mapping in force before it advances the
+      // leveler.
+      const u64 logical = channel_local_line_addr(org, channel, idx);
+      const u64 before = tr.translate(logical);
+      EXPECT_EQ(tr.translate_write(logical), before);
       std::set<u64> seen;
       for (usize l = 0; l < logical_lines; ++l) {
         const u64 phys =
@@ -253,7 +310,7 @@ TEST(WearLevelTranslatorTest, SecurityRefreshStaysBijective) {
   WearLevelTranslator tr{cfg, org, 0};
   for (usize sweep = 0; sweep < 8; ++sweep) {
     for (usize idx = 0; idx < 16; ++idx) {
-      tr.on_write(channel_local_line_addr(org, 0, idx));
+      (void)tr.translate_write(channel_local_line_addr(org, 0, idx));
     }
     std::set<u64> seen;
     for (usize l = 0; l < 16; ++l) {

@@ -53,7 +53,7 @@ TEST(FaultDomainTest, DrawsAreKeyedByLineNotByCallOrder) {
   std::vector<u64> lines;
   for (u64 l = 0; l < 64; ++l) lines.push_back(l * 17 + 3);
 
-  std::vector<FaultDomain::WriteOutcome> a, b;
+  std::vector<FaultDomain::Outcome> a, b;
   for (const u64 l : lines) a.push_back(fwd.on_array_write(l, 1.0));
   for (usize i = lines.size(); i-- > 0;) {
     b.push_back(rev.on_array_write(lines[i], 1.0));
