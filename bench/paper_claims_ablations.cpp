@@ -16,6 +16,7 @@
 #include "encoding/stacked.hpp"
 #include "nvm/mlc.hpp"
 #include "runner/parallel_runner.hpp"
+#include "runner/progress.hpp"
 #include "trace/mixed.hpp"
 #include "wear/wear_leveler.hpp"
 

@@ -1,6 +1,8 @@
-// Perf-regression gate for MemorySystem's pump: the router the closed
-// loops (run_load, run_request_stream) run on. Open-loop replay runs the
-// epoch engine (memsys/open_loop.hpp) on the same channel shards instead.
+// Perf-regression gate for MemorySystem's pump: the router the
+// closed-loop engine (memsys/closed_loop.hpp) pumps for run_load and
+// run_request_stream. run_load_sharded's per-channel loops run the same
+// engine on one channel shard each, and open-loop replay runs the epoch
+// engine (memsys/open_loop.hpp) on the same shards.
 //
 // Measures two things in one process over the same pre-generated access
 // stream: the full MemorySystem pump (step_until + submit + arbitrate +

@@ -8,11 +8,12 @@
 // simulation rests on: a shard's evolution is a pure function of its own
 // arrival sequence, so shards may be advanced on any thread, in any
 // relative order, and produce bit-identical state. The MemorySystem router
-// arbitrates shards in global virtual-time order (closed-loop generators
-// need cross-channel completion ordering); the open-loop engine
-// (open_loop.hpp) and the pinned-loadgen driver advance shards directly,
-// inline or on parallel workers, and merge statistics in channel-id
-// order.
+// arbitrates shards in global virtual-time order (run_load and
+// run_request_stream need cross-channel completion ordering); the
+// open-loop engine (open_loop.hpp) and the closed-loop engine
+// (closed_loop.hpp) for run_load_sharded's per-channel loops advance
+// shards directly, inline or on parallel workers, and merge statistics in
+// channel-id order.
 //
 // The per-access hot path is allocation-free in steady state: queues are
 // RingBuffer / reserved vectors (amortized-zero growth to a high-water
@@ -109,7 +110,6 @@ class ChannelShard {
   [[nodiscard]] usize write_queue_depth() const noexcept {
     return writes_.size();
   }
-  [[nodiscard]] usize pending_reads() const noexcept { return reads_.size(); }
   [[nodiscard]] bool idle() const noexcept;
 
   // --- RAS layer (present only when MemSysConfig::ras is enabled) ---

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
+#include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
+#include "memsys/closed_loop.hpp"
 #include "runner/parallel_for.hpp"
 #include "runner/parallel_runner.hpp"
 
@@ -97,49 +98,27 @@ u64 AddressSampler::draw(Xoshiro256& rng, u64 issued_index) const {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+/// One generator per user, forked in user order from one SplitMix64: each
+/// user's stream is (seed, user)-keyed, independent of interleaving order
+/// and of shard scheduling.
+std::vector<Xoshiro256> fork_user_rngs(const LoadGenConfig& load) {
+  SplitMix64 sm{load.seed};
+  std::vector<Xoshiro256> rngs;
+  rngs.reserve(load.users);
+  for (usize u = 0; u < load.users; ++u) rngs.emplace_back(sm.next());
+  return rngs;
+}
 
-struct UserArrival {
-  double time_ns = 0.0;
-  usize user = 0;
-};
-struct LaterArrival {
-  bool operator()(const UserArrival& a, const UserArrival& b) const noexcept {
-    if (a.time_ns != b.time_ns) return a.time_ns > b.time_ns;
-    return a.user > b.user;  // deterministic tie-break
-  }
-};
+/// Exponentially distributed think time of mean load.think_ns (a zero
+/// mean draws nothing).
+double draw_think(const LoadGenConfig& load, Xoshiro256& rng) {
+  if (load.think_ns == 0.0) return 0.0;
+  return -load.think_ns * std::log(1.0 - rng.next_double());
+}
 
-/// Ticket -> user of the requests in flight. A user keeps at most one
-/// outstanding, so a flat list of at most `users` entries holds them all
-/// and a request costs no allocation.
-class InflightUsers {
- public:
-  explicit InflightUsers(usize users) { entries_.reserve(users); }
-
-  void add(u64 ticket, usize user) { entries_.push_back({ticket, user}); }
-
-  /// Removes `ticket`'s entry and returns its user.
-  usize take(u64 ticket) {
-    const auto it =
-        std::find_if(entries_.begin(), entries_.end(),
-                     [ticket](const Entry& e) { return e.ticket == ticket; });
-    ensure(it != entries_.end(), "completion for a ticket not in flight");
-    const usize user = it->user;
-    *it = entries_.back();
-    entries_.pop_back();
-    return user;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-
- private:
-  struct Entry {
-    u64 ticket = 0;
-    usize user = 0;
-  };
-  std::vector<Entry> entries_;
-};
+ReqKind draw_kind(const LoadGenConfig& load, Xoshiro256& rng) {
+  return rng.next_bool(load.read_fraction) ? ReqKind::kRead : ReqKind::kWrite;
+}
 
 }  // namespace
 
@@ -148,59 +127,30 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
   MemorySystem sys{mem};
   const bool ras_on = mem.ras.enabled();
   const AddressSampler sampler{load};
-
-  // Fork one generator per user so the per-user streams are independent of
-  // interleaving order.
-  SplitMix64 sm{load.seed};
-  std::vector<Xoshiro256> rngs;
-  rngs.reserve(load.users);
-  for (usize u = 0; u < load.users; ++u) rngs.emplace_back(sm.next());
-
-  const auto think = [&](usize u) {
-    if (load.think_ns == 0.0) return 0.0;
-    return -load.think_ns * std::log(1.0 - rngs[u].next_double());
-  };
-
-  std::priority_queue<UserArrival, std::vector<UserArrival>, LaterArrival>
-      arrivals;
-  for (usize u = 0; u < load.users; ++u) arrivals.push({think(u), u});
-
-  InflightUsers inflight{load.users};
-  u64 issued = 0;
-  while (issued < load.requests || !inflight.empty()) {
-    const double next_arrival = arrivals.empty() ? kInf : arrivals.top().time_ns;
-    // Deliver every completion due before the next arrival; each unblocks
-    // its user, whose next arrival may in turn precede the current top.
-    if (const auto comp = sys.step_until(next_arrival)) {
-      const usize u = inflight.take(comp->ticket);
-      arrivals.push({comp->time_ns + think(u), u});
-      continue;
-    }
-    if (arrivals.empty()) break;
-    const UserArrival arr = arrivals.top();
-    arrivals.pop();
-    if (issued >= load.requests) continue;  // quota filled: user retires
-    u64 addr = sampler.draw(rngs[arr.user], issued);
-    const ReqKind kind = rngs[arr.user].next_bool(load.read_fraction)
-                             ? ReqKind::kRead
-                             : ReqKind::kWrite;
-    bool remapped = false;
-    if (ras_on) {
-      // Closed-loop arrivals are already processed one at a time in
-      // global time order, so the serial driver can re-route around
-      // degraded channels at every submit (the single-threaded analogue
-      // of the replay engines' epoch-boundary mask).
-      sys.poll_ras(arr.time_ns);
-      const u64 routed = sys.route_for_degradation(addr);
-      remapped = routed != addr;
-      addr = routed;
-    }
-    inflight.add(sys.submit(addr, kind, arr.time_ns, remapped), arr.user);
-    ++issued;
-  }
+  std::vector<Xoshiro256> rngs = fork_user_rngs(load);
+  std::vector<usize> users(load.users);
+  std::iota(users.begin(), users.end(), usize{0});
 
   LoadResult result;
-  result.makespan_ns = sys.drain_all();
+  result.makespan_ns = run_closed_loop(
+      sys, users, load.requests,
+      [&](usize u) { return draw_think(load, rngs[u]); },
+      [&](usize u, double now, u64 k) -> std::optional<u64> {
+        u64 addr = sampler.draw(rngs[u], k);
+        const ReqKind kind = draw_kind(load, rngs[u]);
+        bool remapped = false;
+        if (ras_on) {
+          // Closed-loop arrivals are already processed one at a time in
+          // global time order, so the serial driver can re-route around
+          // degraded channels at every submit (the single-threaded
+          // analogue of the replay engines' epoch-boundary mask).
+          sys.poll_ras(now);
+          const u64 routed = sys.route_for_degradation(addr);
+          remapped = routed != addr;
+          addr = routed;
+        }
+        return sys.submit(addr, kind, now, remapped);
+      });
   result.stats = sys.stats();
   result.timing = sys.timing_stats();
   result.ras = sys.ras_report();
@@ -210,21 +160,21 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
 LoadResult run_request_stream(const std::vector<MemRequest>& requests,
                               const MemSysConfig& mem) {
   MemorySystem sys{mem};
-  double cpu_time = 0.0;
-  for (const MemRequest& req : requests) {
-    cpu_time += kCpuGapNs;
-    const u64 ticket =
-        sys.submit(req.line_addr,
-                   req.is_write ? ReqKind::kWrite : ReqKind::kRead, cpu_time);
-    // Every earlier request already completed, so the next completion is
-    // this one: data returned (read) or line accepted (write).
-    const auto comp = sys.step_until(kInf);
-    ensure(comp.has_value() && comp->ticket == ticket,
-           "request stream lost its completion");
-    cpu_time = comp->time_ns;
-  }
+  // The CPU decides its next request the moment the previous one
+  // completes, and the request reaches memory kCpuGapNs later: the system
+  // knows it is coming through the gap (a pending read holds back
+  // opportunistic writes). So the CPU's think time is zero and the gap
+  // rides on the arrival stamp.
+  constexpr usize kCpu[] = {0};
   LoadResult result;
-  result.makespan_ns = std::max(cpu_time, sys.drain_all());
+  result.makespan_ns = run_closed_loop(
+      sys, kCpu, requests.size(), [](usize) { return 0.0; },
+      [&](usize, double now, u64 k) -> std::optional<u64> {
+        const MemRequest& req = requests[k];
+        return sys.submit(req.line_addr,
+                          req.is_write ? ReqKind::kWrite : ReqKind::kRead,
+                          now + kCpuGapNs);
+      });
   result.stats = sys.stats();
   result.timing = sys.timing_stats();
   return result;
@@ -249,57 +199,34 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
   LoadGenConfig per_user = load;
   per_user.requests = std::max<u64>(quota.empty() ? 1 : quota[0], 1);
   const AddressSampler sampler{per_user};
-
-  // Fork every user's generator up front in user order — (seed, user)
-  // keyed, independent of shard scheduling.
-  SplitMix64 sm{load.seed};
-  std::vector<Xoshiro256> rngs;
-  rngs.reserve(load.users);
-  for (usize u = 0; u < load.users; ++u) rngs.emplace_back(sm.next());
+  std::vector<Xoshiro256> rngs = fork_user_rngs(load);
+  std::vector<u64> issued(load.users, 0);
 
   std::vector<ChannelShard> shards;
   shards.reserve(nch);
   for (usize c = 0; c < nch; ++c) shards.emplace_back(mem, c);
 
   // Each shard's closed loop touches only its own users (u % nch == c),
-  // their rngs, and its shard — no shared mutable state across workers.
+  // their rngs and issue counters, and its shard — no shared mutable
+  // state across workers.
   auto run_shard = [&](usize c) {
     ChannelShard& shard = shards[c];
-    const auto think = [&](usize u) {
-      if (load.think_ns == 0.0) return 0.0;
-      return -load.think_ns * std::log(1.0 - rngs[u].next_double());
-    };
-
-    std::priority_queue<UserArrival, std::vector<UserArrival>, LaterArrival>
-        arrivals;
-    InflightUsers inflight{load.users};
-    std::vector<u64> issued(load.users, 0);  // only this shard's slots used
+    std::vector<usize> users;
+    u64 budget = 0;
     for (usize u = c; u < load.users; u += nch) {
-      if (quota[u] > 0) arrivals.push({think(u), u});
+      if (quota[u] == 0) continue;
+      users.push_back(u);
+      budget += quota[u];
     }
-    while (!arrivals.empty() || !inflight.empty()) {
-      const double next_arrival =
-          arrivals.empty() ? kInf : arrivals.top().time_ns;
-      if (const auto comp = shard.step_until(next_arrival)) {
-        const usize u = inflight.take(comp->ticket);
-        if (issued[u] < quota[u]) {
-          arrivals.push({comp->time_ns + think(u), u});
-        }
-        continue;
-      }
-      if (arrivals.empty()) break;
-      const UserArrival arr = arrivals.top();
-      arrivals.pop();
-      const usize u = arr.user;
-      const u64 addr = pin_line_to_channel(
-          mem.org, sampler.draw(rngs[u], issued[u]), c);
-      const ReqKind kind = rngs[u].next_bool(load.read_fraction)
-                               ? ReqKind::kRead
-                               : ReqKind::kWrite;
-      inflight.add(shard.submit(addr, kind, arr.time_ns), u);
-      ++issued[u];
-    }
-    (void)shard.drain_all();
+    (void)run_closed_loop(
+        shard, users, budget,
+        [&](usize u) { return draw_think(load, rngs[u]); },
+        [&](usize u, double now, u64) -> std::optional<u64> {
+          if (issued[u] == quota[u]) return std::nullopt;
+          const u64 addr = pin_line_to_channel(
+              mem.org, sampler.draw(rngs[u], issued[u]++), c);
+          return shard.submit(addr, draw_kind(load, rngs[u]), now);
+        });
   };
 
   const auto pool = pool_for(std::min(resolve_jobs(jobs), nch));

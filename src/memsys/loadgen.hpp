@@ -7,13 +7,18 @@
 // which cannot overrun the system the way an open arrival process can.
 //
 // Everything is drawn from named, seeded streams (per-user Xoshiro256
-// generators forked from one SplitMix64), and the simulation itself is
-// single-threaded discrete-event, so a (config, seed) pair reproduces
-// bit-identical results regardless of --jobs or host load. Address
-// patterns cover the cases that stress a write-queue design differently:
-// uniform (no locality, worst-case row misses), zipfian (hot lines ->
-// forwarding and coalescing), and diurnal (zipfian whose hot set shifts
-// in phases, periodically re-dirtying a cold region).
+// generators forked from one SplitMix64), and each loop is single-threaded
+// discrete-event, so a (config, seed) pair reproduces bit-identical
+// results regardless of --jobs or host load. Address patterns cover the
+// cases that stress a write-queue design differently: uniform (no
+// locality, worst-case row misses), zipfian (hot lines -> forwarding and
+// coalescing), and diurnal (zipfian whose hot set shifts in phases,
+// periodically re-dirtying a cold region).
+//
+// All three drivers below — run_load, run_request_stream and each channel
+// of run_load_sharded — run one closed-loop engine (run_closed_loop,
+// memsys/closed_loop.hpp) and supply only their users, their think time
+// and how a user's next request is drawn and submitted.
 #pragma once
 
 #include <string>

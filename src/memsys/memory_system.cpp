@@ -133,11 +133,6 @@ usize MemorySystem::write_queue_depth(usize channel) const {
   return shards_[channel].write_queue_depth();
 }
 
-usize MemorySystem::pending_reads(usize channel) const {
-  require(channel < shards_.size(), "channel index out of range");
-  return shards_[channel].pending_reads();
-}
-
 bool MemorySystem::idle() const noexcept {
   for (const ChannelShard& shard : shards_) {
     if (!shard.idle()) return false;

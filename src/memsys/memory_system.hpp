@@ -25,10 +25,12 @@
 //
 // All per-channel state lives in ChannelShard; MemorySystem routes
 // arrivals by channel_of_line and arbitrates shards in global virtual-time
-// order, so it stays fully deterministic. It is the router of the closed
-// loops (run_load, run_request_stream), where a completion on one channel
-// decides the next arrival on another. The open loops — replay, its sweep
-// and run-to-failure — do not need that coupling: the open-loop engine
+// order, so it stays fully deterministic. The closed-loop engine
+// (memsys/closed_loop.hpp) pumps it for run_load and run_request_stream,
+// where a completion on one channel decides the next arrival on another;
+// run_load_sharded pins users to channels and runs the same engine on
+// each ChannelShard instead. The open loops — replay, its sweep and
+// run-to-failure — do not need that coupling: the open-loop engine
 // (memsys/open_loop.hpp) advances the shards directly in bounded
 // virtual-time epochs, on any number of workers, and merges statistics in
 // channel-id order (DESIGN.md §10).
@@ -96,7 +98,6 @@ class MemorySystem {
     return config_;
   }
   [[nodiscard]] usize write_queue_depth(usize channel) const;
-  [[nodiscard]] usize pending_reads(usize channel) const;
   [[nodiscard]] bool idle() const noexcept;
 
   /// Read-only view of one channel's shard.

