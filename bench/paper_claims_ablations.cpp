@@ -93,9 +93,7 @@ void read_sae_ablation(const Study& study, Claims& claims) {
         study, names.size(), per_profile, [&](usize b, usize k) {
           const WritebackTrace& trace = study.traces.get(names[b]);
           return k == 0 ? replay_scheme(trace, Scheme::kDcw)
-                        : replay_encoder(trace, [&] {
-                            return make_read_sae(budgets[k - 1]);
-                          });
+                        : replay_encoder(trace, make_read_sae(budgets[k - 1]));
         });
     TextTable table{{"benchmark", "budget 8", "budget 16", "budget 32",
                      "budget 64"}};
@@ -602,20 +600,23 @@ void encryption(const Study& study, Claims& claims) {
   bench::banner("Encryption study: flips per write-back");
   const std::vector<std::string> names{"bwaves", "sjeng", "gcc",
                                        "xalancbmk"};
-  const std::vector<EncoderFactory> encoders{
-      [] { return make_encoder(Scheme::kDcw); },
-      [] { return make_encoder(Scheme::kReadSae); },
-      []() -> EncoderPtr { return std::make_unique<DeuceEncoder>(true); },
-      []() -> EncoderPtr { return std::make_unique<DeuceEncoder>(false); },
-      []() -> EncoderPtr {
+  // One fresh encoder per cell, in the table's column order.
+  constexpr usize kEncoders = 5;
+  const auto make = [](usize e) -> EncoderPtr {
+    switch (e) {
+      case 0: return make_encoder(Scheme::kDcw);
+      case 1: return make_encoder(Scheme::kReadSae);
+      case 2: return std::make_unique<DeuceEncoder>(true);
+      case 3: return std::make_unique<DeuceEncoder>(false);
+      default:
         return std::make_unique<StackedEncoder>(
             std::make_unique<DeuceEncoder>(false), 8);
-      },
+    }
   };
   const std::vector<double> per_wb = grid<double>(
-      study, names.size(), encoders.size(), [&](usize b, usize e) {
+      study, names.size(), kEncoders, [&](usize b, usize e) {
         const ReplayResult r =
-            replay_encoder(study.traces.get(names[b]), encoders[e]);
+            replay_encoder(study.traces.get(names[b]), make(e));
         return static_cast<double>(r.stats.flips.total()) /
                static_cast<double>(r.stats.writebacks);
       });
@@ -626,7 +627,7 @@ void encryption(const Study& study, Claims& claims) {
   std::vector<double> deuce;
   std::vector<double> stacked;
   for (usize b = 0; b < names.size(); ++b) {
-    const double* f = &per_wb[b * encoders.size()];
+    const double* f = &per_wb[b * kEncoders];
     naive.push_back(f[2]);
     deuce.push_back(f[3]);
     stacked.push_back(f[4]);

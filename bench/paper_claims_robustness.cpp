@@ -148,8 +148,7 @@ CutOutcome sweep_cuts(Scheme scheme, u64 samples) {
   {
     NvmDevice device = make_device(&calibration);
     FaultContext fault{device};
-    MemoryController ctrl{config, make_encoder(scheme), device, nullptr,
-                          &fault};
+    MemoryController ctrl{config, make_encoder(scheme), device, &fault};
     (void)run_writes(ctrl);
   }
   out.total_pulses = calibration.pulses_seen;
@@ -162,12 +161,10 @@ CutOutcome sweep_cuts(Scheme scheme, u64 samples) {
     FaultContext fault{device};
     usize completed = 0;
     {
-      MemoryController ctrl{config, make_encoder(scheme), device, nullptr,
-                            &fault};
+      MemoryController ctrl{config, make_encoder(scheme), device, &fault};
       completed = run_writes(ctrl);
     }
-    MemoryController rebooted{config, make_encoder(scheme), device, nullptr,
-                              &fault};
+    MemoryController rebooted{config, make_encoder(scheme), device, &fault};
     rebooted.recover();
     const CacheLine recovered = rebooted.read_line(addr);
     const CacheLine& old_image = versions[completed];

@@ -4,13 +4,14 @@
 //
 // A hash-table KV store is emulated directly as CPU word traffic: each
 // PUT rewrites a bucket's key/value/metadata words (pointer-rich, many
-// clean words per line), GETs interleave reads. The full pipeline —
-// caches, controller, PCM device — runs once per encoding scheme and the
-// example reports write-back energy and flip totals.
+// clean words per line), GETs interleave reads. The caches run once; the
+// write-back stream they produce replays through each encoding scheme's
+// controller and PCM device, and the example reports write-back energy and
+// flip totals.
 #include <iostream>
 
 #include "common/table.hpp"
-#include "sim/simulator.hpp"
+#include "sim/replay.hpp"
 #include "trace/synthetic.hpp"
 
 using namespace nvmenc;
@@ -42,20 +43,17 @@ WorkloadProfile kvstore_profile() {
 int main() {
   std::cout << "in-memory KV store on 4GB PCM (scaled hierarchy)\n\n";
 
-  SimConfig config;
-  config.caches = scaled_hierarchy();
+  CollectorConfig config;
   config.warmup_accesses = 100'000;
+  config.measured_accesses = 400'000;
+  SyntheticWorkload workload{kvstore_profile(), 7};
+  const WritebackTrace trace = collect_writebacks(workload, config);
 
   TextTable table{{"scheme", "writebacks", "flips/line", "tag flips",
                    "energy (uJ)", "vs DCW"}};
   double dcw_energy = 0.0;
   for (Scheme scheme : paper_schemes()) {
-    Simulator sim{config,
-                  std::make_unique<SyntheticWorkload>(kvstore_profile(), 7),
-                  scheme};
-    sim.warmup();
-    sim.run(400'000);
-    const ControllerStats& s = sim.stats();
+    const ControllerStats s = replay_scheme(trace, scheme).stats;
     const double energy_uj = s.energy.total_pj() / 1e6;
     if (scheme == Scheme::kDcw) dcw_energy = energy_uj;
     table.add_row(

@@ -2,12 +2,12 @@
 
 #include <array>
 
-#include "common/bit_buf.hpp"
-#include "common/error.hpp"
 #include "compress/fpc.hpp"
-#include "core/line_gather.hpp"
+#include "encoding/payload_fnw.hpp"
 
 namespace nvmenc {
+
+static_assert(PaperModelAfnw::kTagsPerWord == kPayloadSegments);
 
 FlipBreakdown PaperModelAfnw::write(PaperModelAfnwState& state,
                                     const CacheLine& old_line,
@@ -16,55 +16,35 @@ FlipBreakdown PaperModelAfnw::write(PaperModelAfnwState& state,
   for (usize w = 0; w < kWordsPerLine; ++w) {
     if (old_line.word(w) == new_line.word(w)) continue;  // clean word
     const FpcWord cw = fpc_compress_word(new_line.word(w));
+    // The payload is Flip-N-Written over the PLAIN old word's low bits:
+    // the data cells hold plaintext between writes in this accounting.
     const u64 old_plain = old_line.word(w);
-    const u64 old_tags = (state.tags >> (w * kTagsPerWord)) &
-                         low_mask(kTagsPerWord);
+    const usize tag_shift = w * kTagsPerWord;
+    const u64 old_tags = (state.tags >> tag_shift) & low_mask(kTagsPerWord);
+    const PayloadFnw enc =
+        payload_fnw_encode(old_plain, cw.payload, cw.payload_bits, old_tags);
+    const u64 diff = (old_plain ^ enc.cells) & low_mask(cw.payload_bits);
+    fb.data += popcount(diff);
+    fb.sets += popcount(diff & enc.cells);
+    fb.resets += popcount(diff & old_plain);
+    const u64 tag_delta = old_tags ^ enc.tags;
+    fb.tag += popcount(tag_delta);
+    fb.sets += popcount(tag_delta & enc.tags);
+    fb.resets += popcount(tag_delta & old_tags);
+    state.tags &= ~(low_mask(kTagsPerWord) << tag_shift);
+    state.tags |= enc.tags << tag_shift;
 
-    u64 new_tags = old_tags;
-    usize pos = 0;
-    for (usize k = 0; k < kTagsPerWord; ++k) {
-      const usize len = cw.payload_bits / kTagsPerWord +
-                        (k < cw.payload_bits % kTagsPerWord ? 1 : 0);
-      if (len == 0) continue;
-      const u64 old_seg = extract_bits({&old_plain, 1}, pos, len);
-      const u64 data_seg = (cw.payload >> pos) & low_mask(len);
-      const bool old_tag = (old_tags >> k) & 1;
-      const usize cost_plain = hamming(old_seg, data_seg) + (old_tag ? 1 : 0);
-      const usize cost_flip =
-          hamming(old_seg, ~data_seg & low_mask(len)) + (old_tag ? 0 : 1);
-      const bool flip = cost_flip < cost_plain;
-      const u64 seg = flip ? (~data_seg & low_mask(len)) : data_seg;
-      fb.data += hamming(old_seg, seg);
-      fb.sets += popcount(~old_seg & seg);
-      fb.resets += popcount(old_seg & ~seg & low_mask(len));
-      if (flip != old_tag) {
-        ++fb.tag;
-        if (flip) {
-          ++fb.sets;
-        } else {
-          ++fb.resets;
-        }
-      }
-      if (flip) {
-        new_tags |= u64{1} << k;
-      } else {
-        new_tags &= ~(u64{1} << k);
-      }
-      pos += len;
-    }
-    state.tags &= ~(low_mask(kTagsPerWord) << (w * kTagsPerWord));
-    state.tags |= new_tags << (w * kTagsPerWord);
-
-    const u64 old_pattern = (state.patterns >> (w * kPatternBits)) &
-                            low_mask(kPatternBits);
+    const usize pattern_shift = w * kPatternBits;
+    const u64 old_pattern =
+        (state.patterns >> pattern_shift) & low_mask(kPatternBits);
     const u64 delta = old_pattern ^ cw.pattern;
     fb.flag += popcount(delta);
     fb.sets += popcount(delta & cw.pattern);
     fb.resets += popcount(delta & old_pattern);
-    state.patterns &= static_cast<u32>(~(low_mask(kPatternBits)
-                                         << (w * kPatternBits)));
-    state.patterns |= static_cast<u32>(static_cast<u64>(cw.pattern)
-                                       << (w * kPatternBits));
+    state.patterns &=
+        static_cast<u32>(~(low_mask(kPatternBits) << pattern_shift));
+    state.patterns |=
+        static_cast<u32>(static_cast<u64>(cw.pattern) << pattern_shift);
   }
   return fb;
 }
@@ -88,93 +68,74 @@ FlipBreakdown PaperModelReadSae::write(PaperModelLineState& state,
   const u8 dirty = config_.redundant_word_aware
                        ? new_line.dirty_mask(old_line)
                        : u8{0xff};
-  const usize dirty_words = popcount(dirty);
-  if (dirty_words == 0) return {};
+  if (dirty == 0) return {};
 
-  const BitBuf old_bits = gather_words(old_line, dirty);
-  const BitBuf new_bits = gather_words(new_line, dirty);
-  const usize total_bits = dirty_words * kWordBits;
+  // The dirty words' XOR, densely packed in ascending word order: the
+  // vector the shared cost tree is built over, as in ReadSaeEncoder. The
+  // stored reference for the data cells is the plain old data (the paper
+  // model's idealization).
+  std::array<u64, kWordsPerLine> old_words{};
+  std::array<u64, kWordsPerLine> xor_words{};
+  usize n = 0;
+  for (usize w = 0; w < kWordsPerLine; ++w) {
+    if ((dirty >> w) & 1) {
+      old_words[n] = old_line.word(w);
+      xor_words[n++] = old_line.word(w) ^ new_line.word(w);
+    }
+  }
+  const usize total_bits = n * kWordBits;
 
-  // Leaf level of the shared cost tree (the paper's Figure 6/7 parallel
-  // evaluation): per-segment Hamming distances at the finest granularity,
-  // computed in one pass; coarser levels are pairwise sums.
-  const usize seg0 = total_bits / config_.tag_budget;
-  std::array<u32, kWordBits> h0{};
-  segment_hamming(old_bits.words(), new_bits.words(), config_.tag_budget,
-                  seg0, h0.data(), tier_);
+  // Leaf level of the cost tree (the paper's Figure 6/7 parallel
+  // evaluation): per-segment Hamming distances at the finest granularity;
+  // each coarser level is the pairwise sum of the one below.
+  std::array<u32, kWordBits> h{};
+  segment_popcount({xor_words.data(), n}, config_.tag_budget,
+                   total_bits / config_.tag_budget, h.data(), tier_);
+  const std::array<u32, kWordBits> h0 = h;
 
   usize best_f = 0;
   usize best_cost = ~usize{0};
-  {
-    std::array<u32, kWordBits> h = h0;
-    for (usize f = 0; f < config_.granularity_levels; ++f) {
-      const usize tags = config_.tag_budget >> f;
-      const usize seg_bits = total_bits / tags;
-      usize cost = 0;
-      for (usize s = 0; s < tags; ++s) {
-        const usize hs = h[s];
-        const bool old_tag = (state.tags >> s) & 1;
-        const usize cost_plain = hs + (old_tag ? 1 : 0);
-        const usize cost_flip = (seg_bits - hs) + (old_tag ? 0 : 1);
-        cost += cost_plain < cost_flip ? cost_plain : cost_flip;
-      }
-      if (config_.granularity_levels > 1) {
-        cost += hamming(static_cast<u64>(state.gran_flag),
-                        static_cast<u64>(f));
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_f = f;
-      }
-      for (usize s = 0; 2 * s + 1 < tags; ++s) h[s] = h[2 * s] + h[2 * s + 1];
+  for (usize f = 0; f < config_.granularity_levels; ++f) {
+    const usize tags = config_.tag_budget >> f;
+    usize cost =
+        segment_min_cost(h.data(), state.tags, tags, total_bits / tags, tier_);
+    if (config_.granularity_levels > 1) {
+      cost += hamming(static_cast<u64>(state.gran_flag), static_cast<u64>(f));
     }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_f = f;
+    }
+    for (usize s = 0; 2 * s + 1 < tags; ++s) h[s] = h[2 * s] + h[2 * s + 1];
   }
 
-  // Apply: account flips with direction split. The "stored" reference for
-  // data cells is the plain old data (the paper model's idealization).
-  FlipBreakdown fb;
+  // Apply the winning level: rebuild its sums from the leaves, pick the
+  // flipped segments, and XOR their flips into the packed vector, which
+  // then holds exactly the data cells that change.
+  h = h0;
+  for (usize f = 0; f < best_f; ++f) {
+    const usize level = config_.tag_budget >> f;
+    for (usize s = 0; 2 * s + 1 < level; ++s) h[s] = h[2 * s] + h[2 * s + 1];
+  }
   const usize tags = config_.tag_budget >> best_f;
   const usize seg_bits = total_bits / tags;
-  const usize group = usize{1} << best_f;
-  u64 new_tags = state.tags;
-  for (usize s = 0; s < tags; ++s) {
-    const usize pos = s * seg_bits;
-    usize h = 0;
-    for (usize k = 0; k < group; ++k) h += h0[s * group + k];
-    const bool old_tag = (state.tags >> s) & 1;
-    const usize cost_plain = h + (old_tag ? 1 : 0);
-    const usize cost_flip = (seg_bits - h) + (old_tag ? 0 : 1);
-    const bool flip = cost_flip < cost_plain;
+  const u64 sel =
+      segment_flip_select(h.data(), state.tags, tags, seg_bits, tier_);
+  flip_selected_segments({xor_words.data(), n}, sel, tags, seg_bits);
 
-    // Direction-split the data flips of this segment.
-    usize p = pos;
-    usize remaining = seg_bits;
-    while (remaining > 0) {
-      const usize chunk = remaining < 64 ? remaining : 64;
-      const u64 o = old_bits.bits_unchecked(p, chunk);
-      u64 n = new_bits.bits_unchecked(p, chunk);
-      if (flip) n = ~n & low_mask(chunk);
-      fb.sets += popcount(~o & n);
-      fb.resets += popcount(o & ~n);
-      fb.data += popcount(o ^ n);
-      p += chunk;
-      remaining -= chunk;
-    }
-    if (flip != old_tag) {
-      ++fb.tag;
-      if (flip) {
-        ++fb.sets;
-      } else {
-        ++fb.resets;
-      }
-    }
-    if (flip) {
-      new_tags |= u64{1} << s;
-    } else {
-      new_tags &= ~(u64{1} << s);
-    }
+  FlipBreakdown fb;
+  for (usize i = 0; i < n; ++i) {
+    const u64 diff = xor_words[i];
+    fb.data += popcount(diff);
+    fb.sets += popcount(diff & ~old_words[i]);
+    fb.resets += popcount(diff & old_words[i]);
   }
-  state.tags = new_tags;
+  const u64 used = low_mask(tags);
+  const u64 tag_delta = (state.tags ^ sel) & used;
+  fb.tag += popcount(tag_delta);
+  fb.sets += popcount(tag_delta & sel);
+  fb.resets += popcount(tag_delta & state.tags);
+  state.tags = (state.tags & ~used) | sel;
 
   if (config_.redundant_word_aware) {
     const u8 delta = static_cast<u8>(state.dirty_flag ^ dirty);

@@ -13,10 +13,11 @@
 // This evaluator reproduces that accounting exactly, so the repository can
 // regenerate the paper's Figures 9-12 while the stateful encoder shows
 // what a hardware implementation would actually pay. It is not an Encoder:
-// it has no decodable stored image by construction.
+// it has no decodable stored image by construction. Both models run on the
+// kernels their stateful encoders use: READ+SAE on the segment cost tree of
+// core/simd.hpp, AFNW on payload_fnw_encode (encoding/payload_fnw.hpp).
+// replay_scheme (sim/replay.hpp) replays a write-back trace through them.
 #pragma once
-
-#include <unordered_map>
 
 #include "common/cache_line.hpp"
 #include "core/read_sae.hpp"
@@ -47,6 +48,8 @@ struct PaperModelAfnwState {
 /// than FNW. See EXPERIMENTS.md.
 class PaperModelAfnw {
  public:
+  using State = PaperModelAfnwState;
+
   static constexpr usize kTagsPerWord = 4;
   static constexpr usize kPatternBits = 3;
 
@@ -60,6 +63,8 @@ class PaperModelAfnw {
 
 class PaperModelReadSae {
  public:
+  using State = PaperModelLineState;
+
   explicit PaperModelReadSae(AdaptiveConfig config);
 
   /// Accounts one write-back of `new_line` over `old_line` (both logical),

@@ -75,7 +75,8 @@ EncoderPtr make_encoder(Scheme scheme) {
     case Scheme::kAfnwPaper:
       throw std::invalid_argument(
           "paper-model schemes have no Encoder; replay them via "
-          "replay_scheme, which routes them to PaperModelReadSae");
+          "replay_scheme, which routes them to PaperModelReadSae or "
+          "PaperModelAfnw");
   }
   throw std::invalid_argument("unknown scheme id");
 }

@@ -35,7 +35,7 @@ enum class Scheme {
 };
 
 /// True for the paper-model accounting variants, which replay through
-/// PaperModelReadSae instead of an Encoder.
+/// PaperModelReadSae or PaperModelAfnw instead of an Encoder.
 [[nodiscard]] bool is_paper_model(Scheme scheme);
 
 /// The paper's seven schemes in figure order, with READ / READ+SAE as the

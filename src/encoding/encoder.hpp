@@ -50,14 +50,6 @@ struct StoredLine {
   BitBuf meta;     ///< the scheme's metadata cells (size = Encoder::meta_bits)
 };
 
-/// Hamming distance over all cells (data + common metadata prefix) of two
-/// stored images: the differential-write cost of replacing one with the
-/// other, as the program-and-verify path prices retirement copies.
-[[nodiscard]] inline usize stored_hamming(const StoredLine& a,
-                                          const StoredLine& b) noexcept {
-  return a.data.hamming(b.data) + a.meta.hamming(b.meta);
-}
-
 class Encoder {
  public:
   virtual ~Encoder() = default;

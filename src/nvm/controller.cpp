@@ -8,7 +8,6 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "fault/secded.hpp"
-#include "wear/wear_leveler.hpp"
 
 namespace nvmenc {
 
@@ -112,13 +111,10 @@ CommitRecord parse_record(const StoredLine& rec) {
 }  // namespace
 
 MemoryController::MemoryController(ControllerConfig config, EncoderPtr encoder,
-                                   NvmDevice& device,
-                                   WearLeveler* wear_leveler,
-                                   FaultContext* fault)
+                                   NvmDevice& device, FaultContext* fault)
     : config_{config},
       encoder_{std::move(encoder)},
       device_{&device},
-      wear_leveler_{wear_leveler},
       fault_{fault},
       resilient_{config.verify.active()} {
   require(encoder_ != nullptr, "controller needs an encoder");
@@ -160,8 +156,6 @@ void MemoryController::write_line_plain(u64 line_addr,
 
   const FlipBreakdown fb = encoder_->encode(stored, data);
   device_->store(line_addr, stored, fb.total());
-  if (wear_leveler_ != nullptr)
-    wear_leveler_->on_write(line_addr, fb.total());
 
   ++stats_.writebacks;
   if (dirty_words == 0) ++stats_.silent_writebacks;
@@ -210,7 +204,6 @@ void MemoryController::write_line(u64 line_addr, const CacheLine& data) {
   stats_.energy.add_write(config_.energy, sensed_bits_, fb.sets + check_sets,
                           fb.resets + check_resets,
                           config_.charge_encode_logic && dirty_words > 0);
-  if (wear_leveler_ != nullptr) wear_leveler_->on_write(line_addr, fb.total());
 
   const usize device_flips = fb.total() + check_sets + check_resets;
   if (config_.verify.atomic_writes) {

@@ -32,8 +32,6 @@
 
 namespace nvmenc {
 
-class WearLeveler;  // src/wear — observes (line, flips) write events
-
 /// Spare lines live far above any workload address; retirement allocates
 /// them sequentially.
 inline constexpr u64 kSpareRegionBase = u64{1} << 62;
@@ -122,9 +120,9 @@ struct ControllerStats {
 
 /// Long-lived fault-recovery state of one device: the SAFER layer's known
 /// stuck cells and active encodings, plus the spare-line remap table.
-/// Shared by every controller over the device's lifetime (the replay
-/// harness runs a warm-up controller and a measured controller over one
-/// device; retiring a line in warm-up must stay retired).
+/// Shared by every controller over the device's lifetime (a controller
+/// rebooted after a power cut must still find the lines retired before
+/// it).
 struct FaultContext {
   explicit FaultContext(NvmDevice& device, SaferCodec codec = SaferCodec{5})
       : safer{device, std::move(codec)} {}
@@ -137,12 +135,11 @@ struct FaultContext {
 class MemoryController final : public LineBackend {
  public:
   /// The controller owns the encoder; the device must outlive the
-  /// controller. `wear_leveler` may be null. `fault` carries the SAFER /
-  /// remap state shared across controllers of one device; when null and
-  /// the verify policy is active, the controller owns a private context.
+  /// controller. `fault` carries the SAFER / remap state shared across
+  /// controllers of one device; when null and the verify policy is active,
+  /// the controller owns a private context.
   MemoryController(ControllerConfig config, EncoderPtr encoder,
-                   NvmDevice& device, WearLeveler* wear_leveler = nullptr,
-                   FaultContext* fault = nullptr);
+                   NvmDevice& device, FaultContext* fault = nullptr);
 
   [[nodiscard]] CacheLine read_line(u64 line_addr) override;
   void write_line(u64 line_addr, const CacheLine& data) override;
@@ -180,9 +177,6 @@ class MemoryController final : public LineBackend {
   void reset_stats() { stats_ = ControllerStats{}; }
   [[nodiscard]] const Encoder& encoder() const noexcept { return *encoder_; }
   [[nodiscard]] NvmDevice& device() noexcept { return *device_; }
-  [[nodiscard]] const FaultContext* fault_context() const noexcept {
-    return fault_;
-  }
 
  private:
   /// The legacy differential store (no verify/SECDED/atomicity): the body
@@ -220,7 +214,6 @@ class MemoryController final : public LineBackend {
   ControllerConfig config_;
   EncoderPtr encoder_;
   NvmDevice* device_;
-  WearLeveler* wear_leveler_;
   ControllerStats stats_;
   std::unique_ptr<FaultContext> owned_fault_;
   FaultContext* fault_ = nullptr;

@@ -45,9 +45,6 @@ WritebackTrace collect_writebacks(WorkloadGenerator& workload,
                                   const CollectorConfig& config) {
   WritebackTrace trace;
   trace.benchmark = workload.name();
-  // The initial-image function must outlive the workload object, so it is
-  // rebuilt from the workload by value where possible; here we capture a
-  // reference-free copy by sampling through the generator's own function.
   CollectingBackend backend{workload};
   CacheHierarchy hierarchy{config.caches, backend};
 
@@ -62,14 +59,12 @@ WritebackTrace collect_writebacks(WorkloadGenerator& workload,
   for (u64 i = 0; i < config.measured_accesses; ++i) {
     hierarchy.access(workload.next());
   }
+  if (config.drain) hierarchy.flush();
   trace.demand_reads = backend.reads();
   backend.set_sink(nullptr);
   backend.set_request_log(nullptr);
 
-  // Keep the workload's pristine-image function alive independently of
-  // `workload` by snapshotting through a shared owner when the caller
-  // destroys the generator. Callers in this repo keep the generator alive;
-  // the wrapper simply forwards.
+  // A raw pointer, not a copy: the workload must outlive the trace.
   const WorkloadGenerator* wl = &workload;
   trace.initial_line = [wl](u64 addr) { return wl->initial_line(addr); };
   return trace;

@@ -1,4 +1,5 @@
-// Write-back trace collection.
+// Write-back trace collection: the first half of the functional pipeline
+// (workload -> caches -> write-back stream; replay.hpp is the second).
 //
 // The cache hierarchy's behaviour is independent of the NVM encoding
 // scheme (encoders change the stored representation, not the logical
@@ -6,7 +7,9 @@
 // through the caches — is done once per benchmark. The resulting
 // WritebackTrace is then replayed through each scheme's controller
 // (replay.hpp), guaranteeing every scheme sees the identical write-back
-// stream, exactly as the paper's single-simulation methodology does.
+// stream, exactly as the paper's single-simulation methodology does. All
+// functional runs go this way: the matrix and paper_claims, `nvmenc run`,
+// the functional `nvmenc replay` and the examples.
 #pragma once
 
 #include <functional>
@@ -40,7 +43,8 @@ struct WritebackTrace {
   /// write-backs), populated when CollectorConfig::record_requests is
   /// set. Drives run_request_stream (memsys/loadgen.hpp).
   std::vector<MemRequest> requests;
-  /// Pristine contents of any line (forwarded from the workload).
+  /// Pristine contents of any line. Forwards to the workload that produced
+  /// the trace, which must outlive it.
   std::function<CacheLine(u64)> initial_line;
 };
 
@@ -50,11 +54,15 @@ struct CollectorConfig {
   u64 measured_accesses = 1'000'000;
   /// Also capture the interleaved request stream (timing studies).
   bool record_requests = false;
+  /// Flush the caches at the end, into the measured window, so every
+  /// written word reaches memory (`nvmenc replay`). Off, only steady-state
+  /// evictions are measured, as the paper's figures are.
+  bool drain = false;
 };
 
 /// Runs `workload` through the hierarchy and captures the write-back
-/// stream. The caches are *not* flushed at the end: only steady-state
-/// evictions are measured.
+/// stream. The trace's `initial_line` reads through `workload`, so the
+/// workload must outlive the trace.
 [[nodiscard]] WritebackTrace collect_writebacks(WorkloadGenerator& workload,
                                                 const CollectorConfig& config);
 

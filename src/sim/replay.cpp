@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <unordered_map>
 
 #include "common/rng.hpp"
 #include "core/paper_model.hpp"
@@ -34,68 +35,65 @@ void write_all(MemoryController& controller,
   }
 }
 
+/// Demand fetches of the measured window: identical work across schemes,
+/// included so energy ratios are diluted by read energy exactly as in the
+/// paper (Section 4.2.2).
+void add_demand_reads(ReplayResult& result, const WritebackTrace& trace,
+                      const EnergyParams& energy) {
+  result.stats.energy.add_reads(energy, kLineBits, trace.demand_reads);
+  result.stats.demand_reads += trace.demand_reads;
+}
+
 /// Replays through the paper's idealized accounting (no Encoder, no
-/// device): a flat logical image plus per-line tag/flag state.
+/// device): one record per line, its logical image plus the model's
+/// persistent tag/flag state.
+template <typename Model>
 ReplayResult replay_paper_model(const WritebackTrace& trace, Scheme scheme,
+                                const Model& model,
                                 const EnergyParams& energy,
                                 const CancellationToken* cancel) {
-  AdaptiveConfig config;
-  config.granularity_levels = scheme == Scheme::kReadSaePaper ? 4 : 1;
-  const PaperModelReadSae read_model{config};
-  const PaperModelAfnw afnw_model;
-
-  std::unordered_map<u64, CacheLine> image;
-  std::unordered_map<u64, PaperModelLineState> read_states;
-  std::unordered_map<u64, PaperModelAfnwState> afnw_states;
-  auto line_of = [&](u64 addr) -> CacheLine& {
-    auto it = image.find(addr);
-    if (it == image.end()) {
-      it = image.emplace(addr, trace.initial_line(addr)).first;
+  struct Line {
+    CacheLine image;
+    typename Model::State state{};
+  };
+  std::unordered_map<u64, Line> lines;
+  auto line_of = [&](u64 addr) -> Line& {
+    auto it = lines.find(addr);
+    if (it == lines.end()) {
+      it = lines.emplace(addr, Line{trace.initial_line(addr)}).first;
     }
     return it->second;
-  };
-  auto model_write = [&](u64 addr, const CacheLine& old_line,
-                         const CacheLine& new_line) {
-    if (scheme == Scheme::kAfnwPaper) {
-      return afnw_model.write(afnw_states[addr], old_line, new_line);
-    }
-    return read_model.write(read_states[addr], old_line, new_line);
   };
 
   ReplayResult result;
   result.benchmark = trace.benchmark;
   result.scheme = scheme_name(scheme);
-  result.meta_bits = scheme == Scheme::kAfnwPaper ? afnw_model.meta_bits()
-                                                  : read_model.meta_bits();
+  result.meta_bits = model.meta_bits();
 
   for (const WriteBack& wb : trace.warmup) {
     check_cancel(cancel);
-    CacheLine& old_line = line_of(wb.line_addr);
-    (void)model_write(wb.line_addr, old_line, wb.data);
-    old_line = wb.data;
+    Line& line = line_of(wb.line_addr);
+    (void)model.write(line.state, line.image, wb.data);
+    line.image = wb.data;
   }
-  ControllerConfig cc;
-  cc.energy = energy;
-  cc.charge_encode_logic = charges_encode_logic(scheme);
+  const bool charge = charges_encode_logic(scheme);
+  ControllerStats& stats = result.stats;
   for (const WriteBack& wb : trace.measured) {
     check_cancel(cancel);
-    CacheLine& old_line = line_of(wb.line_addr);
-    const usize dirty_words = popcount(wb.data.dirty_mask(old_line));
-    const FlipBreakdown fb = model_write(wb.line_addr, old_line, wb.data);
-    old_line = wb.data;
+    Line& line = line_of(wb.line_addr);
+    const usize dirty_words = popcount(wb.data.dirty_mask(line.image));
+    const FlipBreakdown fb = model.write(line.state, line.image, wb.data);
+    line.image = wb.data;
 
-    ++result.stats.writebacks;
-    if (dirty_words == 0) ++result.stats.silent_writebacks;
-    result.stats.dirty_words.add(dirty_words);
-    result.stats.flips += fb;
-    result.stats.energy.add_write(
-        cc.energy, kLineBits, fb.sets, fb.resets,
-        cc.charge_encode_logic && dirty_words > 0);
+    ++stats.writebacks;
+    if (dirty_words == 0) ++stats.silent_writebacks;
+    stats.dirty_words.add(dirty_words);
+    stats.flips += fb;
+    stats.energy.add_write(energy, kLineBits, fb.sets, fb.resets,
+                           charge && dirty_words > 0);
   }
-  result.device_flips = result.stats.flips.total();
-  result.stats.energy.add_reads(cc.energy, kLineBits,
-                                trace.demand_reads);
-  result.stats.demand_reads = trace.demand_reads;
+  result.device_flips = stats.flips.total();
+  add_demand_reads(result, trace, energy);
   return result;
 }
 
@@ -105,24 +103,29 @@ ReplayResult replay_scheme(const WritebackTrace& trace, Scheme scheme,
                            const EnergyParams& energy, const FaultPlan& fault,
                            u64 fault_seed_salt,
                            const CancellationToken* cancel) {
-  if (is_paper_model(scheme)) {
-    // Idealized accounting has no device, hence no cells to misbehave.
-    return replay_paper_model(trace, scheme, energy, cancel);
+  // Idealized accounting has no device, hence no cells to misbehave.
+  if (scheme == Scheme::kAfnwPaper) {
+    return replay_paper_model(trace, scheme, PaperModelAfnw{}, energy,
+                              cancel);
   }
-  ReplayResult result = replay_encoder(
-      trace, [scheme] { return make_encoder(scheme); },
-      charges_encode_logic(scheme), energy, fault, fault_seed_salt, cancel);
+  if (is_paper_model(scheme)) {
+    AdaptiveConfig config;
+    config.granularity_levels = scheme == Scheme::kReadSaePaper ? 4 : 1;
+    return replay_paper_model(trace, scheme, PaperModelReadSae{config},
+                              energy, cancel);
+  }
+  ReplayResult result =
+      replay_encoder(trace, make_encoder(scheme), charges_encode_logic(scheme),
+                     energy, fault, fault_seed_salt, cancel);
   result.scheme = scheme_name(scheme);
   return result;
 }
 
-ReplayResult replay_encoder(const WritebackTrace& trace,
-                            const EncoderFactory& make,
+ReplayResult replay_encoder(const WritebackTrace& trace, EncoderPtr encoder,
                             bool charge_encode_logic,
                             const EnergyParams& energy, const FaultPlan& fault,
                             u64 fault_seed_salt,
                             const CancellationToken* cancel) {
-  EncoderPtr encoder = make();
   const Encoder* enc = encoder.get();
 
   std::optional<FaultInjector> injector;
@@ -154,41 +157,22 @@ ReplayResult replay_encoder(const WritebackTrace& trace,
   config.verify.protect_meta = protect;
   config.verify.atomic_writes = fault.atomic_writes;
 
-  // SAFER encodings, the remap table and retired lines are device state:
-  // one context spans the warm-up and measured controllers.
-  std::optional<FaultContext> fault_context;
-  FaultContext* fault_state = nullptr;
-  if (fault.active()) {
-    fault_context.emplace(device);
-    fault_state = &*fault_context;
-  }
-
-  // Warm-up pass on a throwaway controller sharing the device: brings
-  // stored images, tags and flags to steady state.
-  {
-    MemoryController warmup{config, make(), device, nullptr, fault_state};
-    write_all(warmup, trace.warmup, cancel);
-  }
-
+  // One controller spans both windows, so the SAFER encodings, the remap
+  // table and the retired lines of its fault context (active exactly when
+  // the plan is) carry from warm-up into the measured window.
+  MemoryController controller{config, std::move(encoder), device};
+  write_all(controller, trace.warmup, cancel);
   const u64 flips_before = device.total_flips();
-  MemoryController controller{config, std::move(encoder), device, nullptr,
-                              fault_state};
+  controller.reset_stats();
   write_all(controller, trace.measured, cancel);
 
   ReplayResult result;
   result.benchmark = trace.benchmark;
   result.scheme = enc->name();
   result.stats = controller.stats();
-  result.meta_bits = controller.encoder().meta_bits();
+  result.meta_bits = enc->meta_bits();
   result.device_flips = device.total_flips() - flips_before;
-
-  // Demand fetches of the measured window: identical work across schemes,
-  // included so energy ratios are diluted by read energy exactly as in the
-  // paper (Section 4.2.2).
-  result.stats.energy.add_reads(config.energy,
-                                kLineBits,
-                                trace.demand_reads);
-  result.stats.demand_reads += trace.demand_reads;
+  add_demand_reads(result, trace, energy);
   return result;
 }
 

@@ -1,13 +1,15 @@
-// Replays a collected write-back trace through one encoding scheme.
+// Replays a collected write-back trace through one encoding scheme: the
+// second half of the functional pipeline (collector.hpp is the first).
 //
-// Builds a fresh NvmDevice + MemoryController for the scheme, applies the
-// warm-up write-backs to reach steady stored/tag state, resets statistics,
-// then plays the measured window and returns the controller statistics
-// (with the window's demand-read energy folded in, so energy totals are
-// comparable the way Section 4.2.2 compares them).
+// A hardware scheme gets a fresh NvmDevice and one MemoryController over
+// it: the controller applies the warm-up write-backs to reach steady
+// stored/tag state, resets its statistics, then plays the measured window.
+// A paper-model scheme runs its accounting model over a logical image
+// instead. Either way the result carries the measured window's statistics
+// with its demand-read energy folded in, so energy totals are comparable
+// the way Section 4.2.2 compares them.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "common/cancel.hpp"
@@ -49,7 +51,7 @@ struct ReplayResult {
 /// decorrelated, worker-count-independent fault stream. The default
 /// (inactive) plan takes the exact legacy path — statistics are
 /// bit-identical to a replay without the fault layer. Paper-model schemes
-/// have no device and ignore the plan.
+/// (is_paper_model) have no device and ignore the plan.
 ///
 /// `cancel`, when non-null, is polled once per write-back; a requested
 /// stop aborts the replay by throwing CancelledRun (deliberately not a
@@ -60,18 +62,14 @@ struct ReplayResult {
     const FaultPlan& fault = {}, u64 fault_seed_salt = 0,
     const CancellationToken* cancel = nullptr);
 
-/// Builds one encoder: replay_encoder calls it once for the warm-up
-/// controller and once for the measured one.
-using EncoderFactory = std::function<EncoderPtr()>;
-
 /// replay_scheme's device path for an encoder that is not a registry
 /// scheme, e.g. READ+SAE at another tag budget or FNW stacked over DEUCE;
-/// replay_scheme runs every hardware scheme through it. The encoders `make`
-/// builds must be interchangeable (stored state lives in the cells), and
-/// `charge_encode_logic` adds the encode energy to every non-silent write.
-/// The result's `scheme` is the encoder's name().
+/// replay_scheme runs every hardware scheme through it. One controller
+/// owns `encoder` for both windows, and `charge_encode_logic` adds the
+/// encode energy to every non-silent write. The result's `scheme` is the
+/// encoder's name().
 [[nodiscard]] ReplayResult replay_encoder(
-    const WritebackTrace& trace, const EncoderFactory& make,
+    const WritebackTrace& trace, EncoderPtr encoder,
     bool charge_encode_logic = false, const EnergyParams& energy = {},
     const FaultPlan& fault = {}, u64 fault_seed_salt = 0,
     const CancellationToken* cancel = nullptr);

@@ -122,23 +122,22 @@ TEST(Replay, ReadEnergyIsIdenticalAcrossSchemes) {
   EXPECT_DOUBLE_EQ(fnw.stats.energy.read_pj, dcw.stats.energy.read_pj);
 }
 
-TEST(Replay, EncoderFactoryPathMatchesTheScheme) {
-  // replay_scheme runs every hardware scheme through replay_encoder, so a
-  // factory building the registry's READ+SAE replays it exactly; another
-  // tag budget is a different encoder on the same path.
+TEST(Replay, EncoderPathMatchesTheScheme) {
+  // replay_scheme runs every hardware scheme through replay_encoder, so
+  // the registry's READ+SAE encoder replays it exactly; another tag budget
+  // is a different encoder on the same path.
   SyntheticWorkload wl{small_profile("gcc"), 19};
   const WritebackTrace trace = collect_writebacks(wl, tiny_collector());
   const ReplayResult scheme = replay_scheme(trace, Scheme::kReadSae);
-  const ReplayResult factory = replay_encoder(
-      trace, [] { return make_read_sae(); }, /*charge_encode_logic=*/true);
-  EXPECT_EQ(factory.stats.flips.total(), scheme.stats.flips.total());
-  EXPECT_EQ(factory.stats.flips.tag, scheme.stats.flips.tag);
-  EXPECT_EQ(factory.device_flips, scheme.device_flips);
-  EXPECT_DOUBLE_EQ(factory.stats.energy.total_pj(),
+  const ReplayResult encoder =
+      replay_encoder(trace, make_read_sae(), /*charge_encode_logic=*/true);
+  EXPECT_EQ(encoder.stats.flips.total(), scheme.stats.flips.total());
+  EXPECT_EQ(encoder.stats.flips.tag, scheme.stats.flips.tag);
+  EXPECT_EQ(encoder.device_flips, scheme.device_flips);
+  EXPECT_DOUBLE_EQ(encoder.stats.energy.total_pj(),
                    scheme.stats.energy.total_pj());
 
-  const ReplayResult wide =
-      replay_encoder(trace, [] { return make_read_sae(64); });
+  const ReplayResult wide = replay_encoder(trace, make_read_sae(64));
   EXPECT_EQ(wide.stats.writebacks, scheme.stats.writebacks);
   EXPECT_GT(wide.meta_bits, scheme.meta_bits);
   EXPECT_EQ(wide.stats.energy.logic_pj, 0.0);

@@ -4,8 +4,6 @@
 
 #include "common/rng.hpp"
 #include "core/schemes.hpp"
-#include "encoding/dcw.hpp"
-#include "wear/wear_leveler.hpp"
 
 namespace nvmenc {
 namespace {
@@ -118,21 +116,6 @@ TEST(Controller, DeviceFlipTotalsMatchStats) {
   }
   EXPECT_EQ(rig.device.total_flips(),
             rig.controller.stats().flips.total());
-}
-
-TEST(Controller, NotifiesWearLeveler) {
-  IdealWearLeveler wl{64};
-  ControllerConfig config;
-  NvmDevice dev{NvmDeviceConfig{}, [](u64) {
-                  DcwEncoder enc;
-                  return enc.make_stored({});
-                }};
-  MemoryController controller{config, std::make_unique<DcwEncoder>(), dev,
-                              &wl};
-  CacheLine line;
-  line.set_word(0, 0xFF);
-  controller.write_line(0x40, line);
-  EXPECT_EQ(wl.report().mean_wear * 64, 8.0);
 }
 
 TEST(Controller, ResetStatsClearsCountersOnly) {

@@ -110,7 +110,7 @@ TEST(FaultController, UnrecoverablePatternRetiresToSpareLine) {
   ControllerConfig config;
   config.verify.program_and_verify = true;
   MemoryController ctrl{config, std::make_unique<DcwEncoder>(), device,
-                        nullptr, &fault};
+                        &fault};
 
   Xoshiro256 rng{4};
   CacheLine data = random_line(rng);

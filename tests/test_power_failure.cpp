@@ -71,8 +71,7 @@ void sweep_scheme(Scheme scheme, const ControllerConfig& config,
   {
     NvmDevice device = make_device(&calibration);
     FaultContext fault{device};
-    MemoryController ctrl{config, make_encoder(scheme), device, nullptr,
-                          &fault};
+    MemoryController ctrl{config, make_encoder(scheme), device, &fault};
     bool torn = false;
     ASSERT_EQ(run_writes(ctrl, addr, versions, torn), versions.size() - 1);
     ASSERT_FALSE(torn);
@@ -90,8 +89,7 @@ void sweep_scheme(Scheme scheme, const ControllerConfig& config,
     usize completed = 0;
     bool torn = false;
     {
-      MemoryController ctrl{config, make_encoder(scheme), device, nullptr,
-                            &fault};
+      MemoryController ctrl{config, make_encoder(scheme), device, &fault};
       completed = run_writes(ctrl, addr, versions, torn);
     }
     ASSERT_EQ(torn, cut < total_pulses) << scheme_name(scheme) << " cut "
@@ -99,8 +97,7 @@ void sweep_scheme(Scheme scheme, const ControllerConfig& config,
 
     // "Reboot": a fresh controller over the same array + fault state runs
     // the recovery scan, then the line is demand-read as usual.
-    MemoryController rebooted{config, make_encoder(scheme), device, nullptr,
-                              &fault};
+    MemoryController rebooted{config, make_encoder(scheme), device, &fault};
     rebooted.recover();
     const CacheLine recovered = rebooted.read_line(addr);
     const CacheLine& old_image = versions[completed];
@@ -121,8 +118,7 @@ void sweep_scheme(Scheme scheme, const ControllerConfig& config,
     backs += r.rolled_back;
 
     // Idempotence: recovering again changes nothing.
-    MemoryController again{config, make_encoder(scheme), device, nullptr,
-                           &fault};
+    MemoryController again{config, make_encoder(scheme), device, &fault};
     again.recover();
     EXPECT_EQ(again.read_line(addr), recovered)
         << scheme_name(scheme) << " cut " << cut;
@@ -230,8 +226,7 @@ TEST(PowerFailure, RecoveryScrubsSingleMetaFlip) {
   FaultContext fault{device};
   Xoshiro256 rng{3};
   {
-    MemoryController ctrl{config, make_encoder(scheme), device, nullptr,
-                          &fault};
+    MemoryController ctrl{config, make_encoder(scheme), device, &fault};
     ctrl.write_line(0x40, random_line(rng));
     ctrl.write_line(0x40, random_line(rng));
   }
@@ -239,15 +234,13 @@ TEST(PowerFailure, RecoveryScrubsSingleMetaFlip) {
   tampered.meta.set_bit(0, !tampered.meta.bit(0));
   device.store(0x40, tampered, 1);
 
-  MemoryController rebooted{config, make_encoder(scheme), device, nullptr,
-                            &fault};
+  MemoryController rebooted{config, make_encoder(scheme), device, &fault};
   rebooted.recover();
   EXPECT_EQ(rebooted.stats().resilience.meta_corrected, 1u);
   EXPECT_EQ(rebooted.stats().resilience.recovery_retired, 0u);
 
   // The scrub repaired the array: a second scan sees a clean line.
-  MemoryController again{config, make_encoder(scheme), device, nullptr,
-                         &fault};
+  MemoryController again{config, make_encoder(scheme), device, &fault};
   again.recover();
   EXPECT_EQ(again.stats().resilience.meta_corrected, 0u);
   EXPECT_GT(again.stats().resilience.recovered_clean, 0u);
@@ -272,8 +265,7 @@ TEST(PowerFailure, RecoveryEscalatesSecdedDoubleErrorToRetirement) {
   Xoshiro256 rng{4};
   CacheLine last;
   {
-    MemoryController ctrl{config, make_encoder(scheme), device, nullptr,
-                          &fault};
+    MemoryController ctrl{config, make_encoder(scheme), device, &fault};
     ctrl.write_line(0x40, random_line(rng));
     last = random_line(rng);
     ctrl.write_line(0x40, last);
@@ -284,8 +276,7 @@ TEST(PowerFailure, RecoveryEscalatesSecdedDoubleErrorToRetirement) {
   tampered.meta.set_bit(2, !tampered.meta.bit(2));
   device.store(0x40, tampered, 2);
 
-  MemoryController rebooted{config, make_encoder(scheme), device, nullptr,
-                            &fault};
+  MemoryController rebooted{config, make_encoder(scheme), device, &fault};
   rebooted.recover();
   const ResilienceStats& r = rebooted.stats().resilience;
   EXPECT_GE(r.meta_uncorrectable, 1u);
@@ -296,8 +287,7 @@ TEST(PowerFailure, RecoveryEscalatesSecdedDoubleErrorToRetirement) {
 
   // The replay-phase combination: the retired line keeps serving (with
   // best-effort metadata) instead of wedging the run.
-  MemoryController after{config, make_encoder(scheme), device, nullptr,
-                         &fault};
+  MemoryController after{config, make_encoder(scheme), device, &fault};
   const CacheLine again = after.read_line(0x40);
   (void)again;  // decode of best-effort metadata: must not throw
   const CacheLine fresh = random_line(rng);

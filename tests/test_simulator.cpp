@@ -1,76 +1,95 @@
-// End-to-end pipeline tests: workload -> caches -> controller -> device.
-#include "sim/simulator.hpp"
-
+// End-to-end pipeline tests: workload -> caches -> write-back stream
+// (collect_writebacks), then write-back stream -> controller -> device
+// (replay_scheme), the path every functional run takes.
 #include <gtest/gtest.h>
 
+#include "sim/collector.hpp"
+#include "sim/replay.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmenc {
 namespace {
 
-SimConfig small_config() {
-  SimConfig c;
+CollectorConfig small_config(u64 warmup, u64 measured, bool drain = false) {
+  CollectorConfig c;
   c.caches = {
       {.name = "L1", .size_bytes = 4 * kLineBytes, .ways = 2},
       {.name = "L2", .size_bytes = 32 * kLineBytes, .ways = 4},
   };
-  c.warmup_accesses = 1000;
+  c.warmup_accesses = warmup;
+  c.measured_accesses = measured;
+  c.drain = drain;
   return c;
 }
 
-std::unique_ptr<SyntheticWorkload> small_workload(const std::string& name,
-                                                  u64 seed) {
+SyntheticWorkload small_workload(const std::string& name, u64 seed) {
   WorkloadProfile p = profile_by_name(name);
   p.working_set_lines = 256;
-  return std::make_unique<SyntheticWorkload>(p, seed);
+  return SyntheticWorkload{p, seed};
 }
 
 TEST(Simulator, RunsAndCollectsStats) {
-  Simulator sim{small_config(), small_workload("gcc", 1), Scheme::kReadSae};
-  sim.run(20000);
-  EXPECT_GT(sim.stats().writebacks, 100u);
-  EXPECT_GT(sim.stats().flips.total(), 0u);
-  EXPECT_GT(sim.stats().energy.total_pj(), 0.0);
+  SyntheticWorkload wl = small_workload("gcc", 1);
+  const ReplayResult r = replay_scheme(
+      collect_writebacks(wl, small_config(0, 20000)), Scheme::kReadSae);
+  EXPECT_GT(r.stats.writebacks, 100u);
+  EXPECT_GT(r.stats.flips.total(), 0u);
+  EXPECT_GT(r.stats.energy.total_pj(), 0.0);
 }
 
 TEST(Simulator, WarmupResetsStats) {
-  Simulator sim{small_config(), small_workload("gcc", 2), Scheme::kDcw};
-  sim.warmup();
-  EXPECT_EQ(sim.stats().writebacks, 0u);
-  sim.run(5000);
-  EXPECT_GT(sim.stats().writebacks, 0u);
+  // Warm-up write-backs reach the device but not the statistics.
+  SyntheticWorkload idle = small_workload("gcc", 2);
+  const WritebackTrace warm_only =
+      collect_writebacks(idle, small_config(1000, 0));
+  ASSERT_GT(warm_only.warmup.size(), 0u);
+  EXPECT_EQ(replay_scheme(warm_only, Scheme::kDcw).stats.writebacks, 0u);
+
+  SyntheticWorkload wl = small_workload("gcc", 2);
+  EXPECT_GT(replay_scheme(collect_writebacks(wl, small_config(1000, 5000)),
+                          Scheme::kDcw)
+                .stats.writebacks,
+            0u);
 }
 
 // The decisive integration property: after draining the caches, the NVM
 // stored images must decode to exactly the workload's program-order memory
-// image, for every scheme.
+// image, for every hardware scheme.
 TEST(Simulator, NvmDecodesToProgramImageAfterDrain) {
-  for (Scheme scheme :
-       {Scheme::kDcw, Scheme::kFnw, Scheme::kAfnw, Scheme::kCoef,
-        Scheme::kCafo, Scheme::kRead, Scheme::kReadSae, Scheme::kSaeOnly}) {
-    Simulator sim{small_config(), small_workload("sjeng", 3), scheme};
-    sim.run(30000);
-    sim.drain();
-    NvmDevice& device = sim.device();
-    // Every touched line must decode to the value a flat memory would
-    // hold: reconstruct the flat memory by replaying the identical
-    // workload stream (same profile, same seed).
-    auto replay_wl = small_workload("sjeng", 3);
-    std::unordered_map<u64, CacheLine> image;
-    for (int i = 0; i < 30000; ++i) {
-      const MemAccess a = replay_wl->next();
-      if (a.op != Op::kWrite) continue;
-      auto it = image.find(a.line_addr());
-      if (it == image.end()) {
-        it = image.emplace(a.line_addr(), replay_wl->initial_line(a.line_addr()))
-                 .first;
-      }
-      it->second.set_word(a.word_index(), a.value);
+  SyntheticWorkload wl = small_workload("sjeng", 3);
+  const WritebackTrace trace =
+      collect_writebacks(wl, small_config(0, 30000, /*drain=*/true));
+
+  // The flat memory a program-order replay of the identical workload
+  // stream (same profile, same seed) leaves behind.
+  SyntheticWorkload program = small_workload("sjeng", 3);
+  std::unordered_map<u64, CacheLine> image;
+  for (int i = 0; i < 30000; ++i) {
+    const MemAccess a = program.next();
+    if (a.op != Op::kWrite) continue;
+    auto it = image.find(a.line_addr());
+    if (it == image.end()) {
+      it = image.emplace(a.line_addr(), program.initial_line(a.line_addr()))
+               .first;
     }
+    it->second.set_word(a.word_index(), a.value);
+  }
+
+  for (Scheme scheme : all_schemes()) {
+    if (is_paper_model(scheme)) continue;
+    // The device and controller replay_encoder builds, kept in scope so
+    // the stored images can be read back.
+    const EncoderPtr init = make_encoder(scheme);
+    NvmDevice device{NvmDeviceConfig{}, [&](u64 addr) {
+                       return init->make_stored(trace.initial_line(addr));
+                     }};
+    MemoryController controller{ControllerConfig{}, make_encoder(scheme),
+                                device};
+    controller.write_lines(trace.warmup);
+    controller.write_lines(trace.measured);
     usize checked = 0;
     for (const auto& [addr, want] : image) {
-      const CacheLine got = sim.encoder().decode(device.load(addr));
-      ASSERT_EQ(got, want)
+      ASSERT_EQ(controller.read_line(addr), want)
           << scheme_name(scheme) << " line " << std::hex << addr;
       ++checked;
     }
@@ -79,37 +98,21 @@ TEST(Simulator, NvmDecodesToProgramImageAfterDrain) {
 }
 
 TEST(Simulator, SchemesSeeIdenticalWritebackCounts) {
-  u64 baseline = 0;
-  for (Scheme scheme : {Scheme::kDcw, Scheme::kReadSae}) {
-    Simulator sim{small_config(), small_workload("milc", 4), scheme};
-    sim.run(20000);
-    if (baseline == 0) {
-      baseline = sim.stats().writebacks;
-    } else {
-      EXPECT_EQ(sim.stats().writebacks, baseline);
-    }
+  SyntheticWorkload wl = small_workload("milc", 4);
+  const WritebackTrace trace = collect_writebacks(wl, small_config(0, 20000));
+  ASSERT_GT(trace.measured.size(), 0u);
+  for (Scheme scheme : all_schemes()) {
+    EXPECT_EQ(replay_scheme(trace, scheme).stats.writebacks,
+              trace.measured.size())
+        << scheme_name(scheme);
   }
 }
 
 TEST(Simulator, ReadSaeFlipsBelowDcw) {
-  u64 dcw_flips = 0;
-  u64 rs_flips = 0;
-  {
-    Simulator sim{small_config(), small_workload("gcc", 5), Scheme::kDcw};
-    sim.run(30000);
-    dcw_flips = sim.stats().flips.total();
-  }
-  {
-    Simulator sim{small_config(), small_workload("gcc", 5), Scheme::kReadSae};
-    sim.run(30000);
-    rs_flips = sim.stats().flips.total();
-  }
-  EXPECT_LT(rs_flips, dcw_flips);
-}
-
-TEST(Simulator, RequiresWorkload) {
-  EXPECT_THROW(Simulator(small_config(), nullptr, Scheme::kDcw),
-               std::invalid_argument);
+  SyntheticWorkload wl = small_workload("gcc", 5);
+  const WritebackTrace trace = collect_writebacks(wl, small_config(0, 30000));
+  EXPECT_LT(replay_scheme(trace, Scheme::kReadSae).stats.flips.total(),
+            replay_scheme(trace, Scheme::kDcw).stats.flips.total());
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include "trace/trace_workload.hpp"
 
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "sim/collector.hpp"
-#include "sim/simulator.hpp"
+#include "sim/replay.hpp"
 #include "trace/mixed.hpp"
 #include "trace/synthetic.hpp"
 
@@ -30,31 +32,37 @@ TEST(TraceWorkload, ReplaysInOrderAndWraps) {
 }
 
 TEST(TraceWorkload, DrivesTheFullSimulator) {
-  // Capture a synthetic stream, replay it from the trace adapter, and
-  // check the pipelines agree on write-back counts.
+  // Capture a synthetic stream and run it from the trace adapter through
+  // collect -> replay, draining the caches as `nvmenc replay` does.
   WorkloadProfile p = profile_by_name("gcc");
   p.working_set_lines = 256;
   SyntheticWorkload source{p, 5};
   std::vector<MemAccess> accesses;
   for (int i = 0; i < 20000; ++i) accesses.push_back(source.next());
 
-  SimConfig config;
+  CollectorConfig config;
   config.caches = {
       {.name = "L1", .size_bytes = 4 * kLineBytes, .ways = 2},
       {.name = "L2", .size_bytes = 32 * kLineBytes, .ways = 4},
   };
   config.warmup_accesses = 0;
-  Simulator sim{config, std::make_unique<TraceWorkload>(accesses),
-                Scheme::kReadSae};
-  sim.run(accesses.size());
-  sim.drain();
-  EXPECT_GT(sim.stats().writebacks, 100u);
-  // Every line in the NVM decodes consistently (spot-check a handful).
-  usize checked = 0;
+  config.measured_accesses = accesses.size();
+  config.drain = true;
+  TraceWorkload workload{accesses};
+  const WritebackTrace trace = collect_writebacks(workload, config);
+  EXPECT_GT(replay_scheme(trace, Scheme::kReadSae).stats.writebacks, 100u);
+  // Drained, the write-backs leave memory holding the program-order image
+  // of every written line (cold memory starts all-zero).
+  std::unordered_map<u64, CacheLine> program;
   for (const MemAccess& a : accesses) {
-    if (a.op != Op::kWrite || checked >= 5) continue;
-    ++checked;
-    (void)sim.device().load(a.line_addr());  // must not throw
+    if (a.op == Op::kWrite) {
+      program[a.line_addr()].set_word(a.word_index(), a.value);
+    }
+  }
+  std::unordered_map<u64, CacheLine> memory;
+  for (const WriteBack& wb : trace.measured) memory[wb.line_addr] = wb.data;
+  for (const auto& [addr, want] : program) {
+    EXPECT_EQ(memory[addr], want) << addr;
   }
 }
 
@@ -96,19 +104,19 @@ TEST(MixedWorkload, RunsThroughSimulatorEndToEnd) {
     p.working_set_lines = 128;
     cores.push_back(std::make_unique<SyntheticWorkload>(p, 3));
   }
-  SimConfig config;
+  CollectorConfig config;
   config.caches = {
       {.name = "L1", .size_bytes = 4 * kLineBytes, .ways = 2},
       {.name = "L2", .size_bytes = 32 * kLineBytes, .ways = 4},
   };
   config.warmup_accesses = 1000;
-  Simulator sim{config, std::make_unique<MixedWorkload>(std::move(cores)),
-                Scheme::kReadSae};
-  sim.warmup();
-  sim.run(20000);
-  EXPECT_GT(sim.stats().writebacks, 100u);
-  EXPECT_LT(sim.stats().flips.total(),
-            sim.stats().writebacks * kLineBits);
+  config.measured_accesses = 20000;
+  MixedWorkload workload{std::move(cores)};
+  const ControllerStats stats =
+      replay_scheme(collect_writebacks(workload, config), Scheme::kReadSae)
+          .stats;
+  EXPECT_GT(stats.writebacks, 100u);
+  EXPECT_LT(stats.flips.total(), stats.writebacks * kLineBits);
 }
 
 }  // namespace

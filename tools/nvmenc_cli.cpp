@@ -19,7 +19,6 @@
 #include "runner/parallel_runner.hpp"
 #include "runner/progress.hpp"
 #include "sim/experiment.hpp"
-#include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/text_trace.hpp"
 #include "trace/trace_io.hpp"
@@ -107,19 +106,14 @@ int cmd_list() {
 
 int cmd_run(const Cli& cli) {
   const Scheme scheme = scheme_by_name(cli.scheme);
-  if (is_paper_model(scheme)) {
-    std::cerr << "paper-model schemes run through `matrix`, not `run`\n";
-    return 2;
-  }
-  SimConfig config;
-  config.caches = scaled_hierarchy();
-  Simulator sim{config,
-                std::make_unique<SyntheticWorkload>(
-                    profile_by_name(cli.benchmark), cli.experiment.seed),
-                scheme};
-  sim.warmup();
-  sim.run(cli.accesses);
-  const ControllerStats& s = sim.stats();
+  CollectorConfig collector;
+  collector.warmup_accesses = 100'000;
+  collector.measured_accesses = cli.accesses;
+  SyntheticWorkload workload{profile_by_name(cli.benchmark),
+                             cli.experiment.seed};
+  const ReplayResult r =
+      replay_scheme(collect_writebacks(workload, collector), scheme);
+  const ControllerStats& s = r.stats;
 
   TextTable table{{"metric", "value"}};
   table.add_row({"benchmark", cli.benchmark});
@@ -342,23 +336,19 @@ int cmd_replay_memsys(const Cli& cli) {
   return 0;
 }
 
+/// The functional replay: the whole trace is the measured window, and the
+/// caches drain into it so every written word reaches memory.
 int cmd_replay(const Cli& cli) {
   const Scheme scheme = scheme_by_name(cli.scheme);
-  if (is_paper_model(scheme)) {
-    std::cerr << "paper-model schemes run through `matrix`, not `replay`\n";
-    return 2;
-  }
-  std::vector<MemAccess> accesses = read_any_trace(cli);
-  const usize n = accesses.size();
-  SimConfig config;
-  config.caches = scaled_hierarchy();
-  config.warmup_accesses = 0;
-  Simulator sim{config,
-                std::make_unique<TraceWorkload>(std::move(accesses), cli.in),
-                scheme};
-  sim.run(n);
-  sim.drain();
-  const ControllerStats& s = sim.stats();
+  TraceWorkload workload{read_any_trace(cli), cli.in};
+  const usize n = workload.size();
+  CollectorConfig collector;
+  collector.warmup_accesses = 0;
+  collector.measured_accesses = n;
+  collector.drain = true;
+  const ReplayResult r =
+      replay_scheme(collect_writebacks(workload, collector), scheme);
+  const ControllerStats& s = r.stats;
   TextTable table{{"metric", "value"}};
   table.add_row({"trace", cli.in});
   table.add_row({"scheme", scheme_name(scheme)});
