@@ -1,7 +1,6 @@
-// Shared plumbing for the bench binaries.
-//
-// bench/paper_claims regenerates every study of the evaluation (see
-// DESIGN.md §4) from one run; the others are the perf gates. It prints the
+// Options and output plumbing of bench/paper_claims, which regenerates
+// every study of the evaluation (see DESIGN.md §4) from one run; the perf
+// gates have their own skeleton, gate.hpp. paper_claims prints the
 // rows/series the figures plot and, with --csv=<dir>, mirrors each table
 // to CSV for re-plotting; with --json=<dir> it writes the
 // results/BENCH_*.json documents (json_file.hpp). --quick shrinks the
@@ -10,12 +9,9 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -135,71 +131,6 @@ inline void emit(const TextTable& table, const Options& opt,
 
 inline void banner(const std::string& title) {
   std::cout << "\n== " << title << " ==\n\n";
-}
-
-/// Command line of the perf gates: `--baseline=FILE`, `--<count>=N` (the
-/// gate's work per slice set), `--reps=R` and `--print-ratio`, plus the
-/// NVMENC_GATE_INJECT self-test hook (a slowdown to add, in percent).
-/// Throws std::invalid_argument naming the flag or variable at fault.
-struct GateOptions {
-  std::string baseline;
-  usize count = 0;
-  usize reps = 5;
-  bool print_ratio = false;
-  double inject_pct = 0.0;
-};
-
-inline GateOptions parse_gate_options(int argc, char** argv,
-                                      const std::string& count_flag,
-                                      GateOptions opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string value = arg.substr(arg.find('=') + 1);
-    if (arg.rfind("--baseline=", 0) == 0) {
-      opt.baseline = value;
-    } else if (arg.rfind(count_flag + "=", 0) == 0) {
-      opt.count = parse_number<usize>(count_flag, value);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = parse_number<usize>("--reps", value);
-    } else if (arg == "--print-ratio") {
-      opt.print_ratio = true;
-    } else {
-      throw std::invalid_argument{std::string{"usage: "} + argv[0] +
-                                  " [--baseline=FILE] [" + count_flag +
-                                  "=N] [--reps=R] [--print-ratio]"};
-    }
-  }
-  if (opt.reps == 0) {
-    throw std::invalid_argument{"invalid value for '--reps': '0' (expected "
-                                "at least 1)"};
-  }
-  if (const char* env = std::getenv("NVMENC_GATE_INJECT")) {
-    opt.inject_pct = parse_number<double>("NVMENC_GATE_INJECT", env);
-  }
-  return opt;
-}
-
-/// Reads `"key": <number>` from a flat JSON file such as a gate's committed
-/// baseline (a full parser would be dead weight). Throws naming the file
-/// and key when either is missing or the value is not a number.
-inline double json_number(const std::string& path, const std::string& key) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error{"cannot open " + path};
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string quoted = "\"" + key + "\"";
-  const auto at = text.find(quoted);
-  if (at == std::string::npos) {
-    throw std::runtime_error{path + " has no key " + quoted};
-  }
-  const auto colon = text.find(':', at);
-  const auto end = std::min(text.find_first_of(",}\n", colon), text.size());
-  std::string value =
-      colon < end ? text.substr(colon + 1, end - colon - 1) : std::string{};
-  value.erase(0, value.find_first_not_of(" \t\r"));
-  value.erase(value.find_last_not_of(" \t\r") + 1);
-  return parse_number<double>(path + " " + quoted, value);
 }
 
 }  // namespace nvmenc::bench

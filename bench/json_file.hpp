@@ -18,6 +18,10 @@
 #include <string_view>
 #include <vector>
 
+// The stamp bench/CMakeLists.txt generates on every build, ahead of the
+// defaults in provenance.hpp.
+#include "provenance_stamp.hpp"
+
 #include "provenance.hpp"
 
 namespace nvmenc::bench {

@@ -11,9 +11,9 @@
 #include "compress/bdi.hpp"
 #include "compress/fpc.hpp"
 #include "core/read_sae.hpp"
+#include "core/stacked.hpp"
 #include "encoding/coef.hpp"
 #include "encoding/deuce.hpp"
-#include "encoding/stacked.hpp"
 #include "nvm/mlc.hpp"
 #include "runner/parallel_runner.hpp"
 #include "runner/progress.hpp"

@@ -7,10 +7,11 @@
 // key, so any two result files can be diffed by (schema, commit, build,
 // seed) before anyone argues about the payload.
 //
-// NVMENC_GIT_DESCRIBE and NVMENC_BUILD_TYPE are compile definitions
-// injected by bench/CMakeLists.txt (git describe --always --dirty at
-// configure time); building outside git degrades to "unknown" rather than
-// failing.
+// NVMENC_GIT_DESCRIBE and NVMENC_BUILD_TYPE are defined before this header
+// is read: bench/json_file.hpp includes the stamp header that
+// bench/CMakeLists.txt regenerates on every build (git describe --always
+// --dirty), and benchmark/CMakeLists.txt passes compile definitions.
+// Building outside git degrades to "unknown" rather than failing.
 #pragma once
 
 #include <string>

@@ -1,46 +1,28 @@
-// Perf-regression gate for MemorySystem's pump: the router the
-// closed-loop engine (memsys/closed_loop.hpp) pumps for run_load and
-// run_request_stream. run_load_sharded's per-channel loops run the same
-// engine on one channel shard each, and open-loop replay runs the epoch
-// engine (memsys/open_loop.hpp) on the same shards.
+// Perf-regression gate for MemorySystem's pump, on the skeleton of
+// bench/gate.hpp. The pump is the router that run_load and
+// run_request_stream drive through the closed-loop engine; run_load_sharded
+// and open-loop replay run the same channel shards. The gate times the pump
+// (step_until + submit + arbitrate + complete) against a bare scan of the
+// same pre-generated access stream and judges replay_ns / scan_ns against
+// results/PERF_GATE_replay.json.
 //
-// Measures two things in one process over the same pre-generated access
-// stream: the full MemorySystem pump (step_until + submit + arbitrate +
-// complete through the channel shards) and a bare trace scan that only
-// reads each record and folds it into a checksum. The gate metric is the
-// RATIO replay_ns / scan_ns, not an absolute time: the scan runs on the
-// same machine under the same load, so the ratio survives CI-runner
-// heterogeneity that would make a wall-clock threshold flap. A scheduler
-// or shard-container regression slows only the replay numerator; a
-// machine-wide slowdown hits both and cancels.
-//
-// The committed baseline lives in results/PERF_GATE_replay.json as
-// {"baseline_ratio": R} — the interleaved minimum-estimator ratio
-// measured on the reference machine. The gate fails (exit 1) when the
-// measured ratio exceeds R * (1 + headroom). Headroom is 25% — much
-// wider than the encoder gate's 5% because the replay pump (branchy,
-// pointer-chasing) and the scan (streaming) respond differently to the
-// multi-second host-contention phases of shared-vCPU CI runners, phases
-// the within-invocation minimum estimator cannot escape: the observed
-// invocation-to-invocation spread on the reference machine was 41-51
-// around a fast-phase center of ~43. 25% still rejects a real hot-path
-// regression of the kind the gate exists for — one heap allocation per
-// access alone moves the ratio well past the limit. Set
-// NVMENC_GATE_INJECT=P to inflate the measured replay time by P percent —
-// the CI self-test injects 40 to prove the gate actually rejects a
-// slowdown even when measured from the fast end of the spread (see
-// ci.yml perf-gate job).
+// The headroom is 25%, much wider than the encoder gate's 5%: the pump
+// (branchy, pointer-chasing) and the scan (streaming) respond differently
+// to the multi-second contention phases of shared-vCPU CI runners, which
+// the within-invocation minimum cannot escape (invocations on the
+// reference machine spread 41-51 around a fast-phase center of ~43). It
+// still rejects a real hot-path regression: one heap allocation per access
+// moves the ratio well past the limit. The CI self-test injects 40%, which
+// exceeds the limit even when measured from the fast end of the spread.
 //
 //   replay_gate [--baseline=results/PERF_GATE_replay.json]
 //               [--accesses=N] [--reps=R] [--print-ratio]
 #include <chrono>
 #include <cstdlib>
-#include <iostream>
-#include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
+#include "gate.hpp"
 #include "memsys/memory_system.hpp"
 #include "trace/synthetic.hpp"
 
@@ -113,97 +95,50 @@ double time_scan_slice(const std::vector<MemAccess>& stream, u64& index,
          static_cast<double>(kScanPasses);
 }
 
-struct Measurement {
-  double scan_ns = 0.0;  ///< ns per access
-  double replay_ns = 0.0;
-};
-
-/// Strictly alternating slices (scan, replay, scan, replay, ...) within
-/// every repetition, so a load spike or frequency dip lands on both sides
-/// of the ratio almost equally and cancels. Each repetition yields one
-/// (scan, replay) pair; the gate uses the repetition with the fastest
-/// combined time (interference only ever adds time).
-Measurement measure(usize accesses, usize reps) {
+/// Scan against replay, alternating slice by slice; both continue where
+/// their last slice stopped.
+bench::GateReading measure(const bench::GateOptions& opt) {
   const std::vector<MemAccess> stream = make_stream(16'384, 99);
   MemorySystem sys{gate_config()};
   u64 replay_index = 0;
   u64 scan_index = 0;
   u64 sink = 0;
 
-  constexpr usize kSlices = 16;
-  const usize slice = accesses / kSlices + 1;
-
   // Warm-up: queues reach their steady-state high-water marks, pages and
   // branch predictors settle, before any timed slice runs.
+  const usize slice = bench::gate_slice(opt.count);
   (void)time_replay_slice(sys, stream, replay_index, 4 * slice);
   (void)time_scan_slice(stream, scan_index, slice, sink);
 
-  Measurement best{1e300, 1e300};
-  for (usize r = 0; r < reps; ++r) {
-    double scan_total = 0.0;
-    double replay_total = 0.0;
-    for (usize s = 0; s < kSlices; ++s) {
-      scan_total += time_scan_slice(stream, scan_index, slice, sink);
-      replay_total += time_replay_slice(sys, stream, replay_index, slice);
-    }
-    if (scan_total + replay_total < best.scan_ns + best.replay_ns) {
-      best.scan_ns = scan_total;
-      best.replay_ns = replay_total;
-    }
-  }
+  const auto [scan_ns, replay_ns] = bench::interleaved_ns(
+      opt.count, opt.reps,
+      [&](usize, usize n) {
+        return time_scan_slice(stream, scan_index, n, sink);
+      },
+      [&](usize, usize n) {
+        return time_replay_slice(sys, stream, replay_index, n);
+      });
   if (sink == u64(-1)) std::abort();  // keep the checksum alive
-  const double n = static_cast<double>(kSlices) * static_cast<double>(slice);
-  return {best.scan_ns / n, best.replay_ns / n};
-}
-
-int run_gate(int argc, char** argv) {
-  const bench::GateOptions opt = bench::parse_gate_options(
-      argc, argv, "--accesses", {"results/PERF_GATE_replay.json", 200'000});
-
-  Measurement m = measure(opt.count, opt.reps);
-  // Self-test hook: pretend the replay pump got P percent slower.
-  m.replay_ns *= 1.0 + opt.inject_pct / 100.0;
-  const double ratio = m.replay_ns / m.scan_ns;
-  if (opt.print_ratio) {
-    std::cout << TextTable::fmt(ratio, 4) << "\n";
-    return 0;
-  }
-
-  const double baseline =
-      bench::json_number(opt.baseline, "baseline_ratio");
-  const double headroom = 0.25;
-  const double limit = baseline * (1.0 + headroom);
-  const bool pass = ratio <= limit;
-
-  TextTable table{{"metric", "value"}};
-  table.add_row({"scan (ns/access)", TextTable::fmt(m.scan_ns, 2)});
-  table.add_row({"replay (ns/access)", TextTable::fmt(m.replay_ns, 2)});
-  table.add_row({"ratio (replay/scan)", TextTable::fmt(ratio, 4)});
-  table.add_row({"baseline ratio", TextTable::fmt(baseline, 4)});
-  table.add_row({"limit (+25% headroom)", TextTable::fmt(limit, 4)});
-  if (opt.inject_pct != 0.0) {
-    table.add_row({"injected slowdown (%)", TextTable::fmt(opt.inject_pct, 1)});
-  }
-  table.add_row({"verdict", pass ? "PASS" : "FAIL"});
-  table.print(std::cout);
-  if (!pass) {
-    std::cerr << "replay_gate: replay/scan ratio " << TextTable::fmt(ratio, 4)
-              << " exceeds " << TextTable::fmt(limit, 4)
-              << " — the memory-system replay hot path regressed against "
-                 "its in-process trace-scan anchor\n";
-    return 1;
-  }
-  return 0;
+  const double timed_ns = opt.injected(replay_ns);
+  return {.timed_ns = timed_ns,
+          .anchor_ns = scan_ns,
+          .head = {{"scan (ns/access)", TextTable::fmt(scan_ns, 2)},
+                   {"replay (ns/access)", TextTable::fmt(timed_ns, 2)}}};
 }
 
 }  // namespace
 }  // namespace nvmenc
 
 int main(int argc, char** argv) {
-  try {
-    return nvmenc::run_gate(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "replay_gate: " << e.what() << "\n";
-    return 2;
-  }
+  return nvmenc::bench::gate_main(
+      argc, argv,
+      {.name = "replay_gate",
+       .count_flag = "--accesses",
+       .defaults = {.baseline = "results/PERF_GATE_replay.json",
+                    .count = 200'000},
+       .ratio = "replay/scan",
+       .headroom = 0.25,
+       .regressed = "the memory-system replay hot path regressed against "
+                    "its in-process trace-scan anchor"},
+      nvmenc::measure);
 }

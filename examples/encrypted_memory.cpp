@@ -15,8 +15,8 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/stacked.hpp"
 #include "encoding/deuce.hpp"
-#include "encoding/stacked.hpp"
 #include "nvm/recovery.hpp"
 
 using namespace nvmenc;

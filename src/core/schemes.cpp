@@ -84,7 +84,7 @@ EncoderPtr make_encoder(Scheme scheme) {
 bool charges_encode_logic(Scheme scheme) {
   return scheme == Scheme::kRead || scheme == Scheme::kReadSae ||
          scheme == Scheme::kSaeOnly || scheme == Scheme::kReadSaeRotate ||
-         is_paper_model(scheme);
+         scheme == Scheme::kReadPaper || scheme == Scheme::kReadSaePaper;
 }
 
 Scheme scheme_by_name(const std::string& name) {

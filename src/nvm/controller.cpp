@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -222,18 +223,6 @@ void MemoryController::write_line(u64 line_addr, const CacheLine& data) {
   // Phase 4: the home image (wherever it ended up) is durable; retire the
   // commit record so recovery no longer replays this write.
   if (config_.verify.atomic_writes) log_clear();
-}
-
-void MemoryController::write_lines(std::span<const WriteBack> batch) {
-  // Hoist the policy branch out of the loop: the common (non-resilient)
-  // replay path then runs the plain differential store back-to-back with
-  // no per-line dispatch. Order is preserved, so every statistic is
-  // bit-identical to an equivalent sequence of write_line calls.
-  if (!resilient_) {
-    for (const WriteBack& wb : batch) write_line_plain(wb.line_addr, wb.data);
-    return;
-  }
-  for (const WriteBack& wb : batch) write_line(wb.line_addr, wb.data);
 }
 
 u64 MemoryController::resolve(u64 line_addr) const {

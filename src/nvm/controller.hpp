@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <unordered_map>
 
 #include "cache/hierarchy.hpp"
@@ -144,12 +143,6 @@ class MemoryController final : public LineBackend {
   [[nodiscard]] CacheLine read_line(u64 line_addr) override;
   void write_line(u64 line_addr, const CacheLine& data) override;
 
-  /// Batched write-back: the whole span is written in order, with the
-  /// policy branch hoisted out of the loop so the common non-resilient
-  /// path dispatches once per batch instead of once per line. Statistics
-  /// are bit-identical to the equivalent write_line sequence.
-  void write_lines(std::span<const WriteBack> batch);
-
   /// Post-crash recovery scan. Classifies every stored line as clean /
   /// roll-forward / roll-back (counters in ResilienceStats):
   ///
@@ -180,8 +173,7 @@ class MemoryController final : public LineBackend {
 
  private:
   /// The legacy differential store (no verify/SECDED/atomicity): the body
-  /// of write_line when the verify policy is off, shared with the batched
-  /// entry point.
+  /// of write_line when the verify policy is off.
   void write_line_plain(u64 line_addr, const CacheLine& data);
   /// Physical location of a logical line (identity until retired).
   [[nodiscard]] u64 resolve(u64 line_addr) const;

@@ -1,9 +1,8 @@
 #include "sim/replay.hpp"
 
-#include <algorithm>
 #include <optional>
-#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/paper_model.hpp"
@@ -13,25 +12,18 @@ namespace nvmenc {
 
 namespace {
 
-/// Abandon the replay if a stop was requested. Checked once per paper-model
-/// write-back and once per controller batch.
+/// Abandon the replay if a stop was requested. Checked once per write-back.
 inline void check_cancel(const CancellationToken* cancel) {
   if (cancel != nullptr && cancel->stop_requested()) throw CancelledRun{};
 }
 
-/// Write-backs per controller batch: large enough to amortize dispatch,
-/// small enough that a cancellation request lands promptly.
-constexpr usize kWriteBatch = 256;
-
-/// Drives a whole write-back stream through the controller's batched entry
-/// point, checking for cancellation between chunks.
+/// Drives a write-back stream through the controller.
 void write_all(MemoryController& controller,
-               std::span<const WriteBack> stream,
+               const std::vector<WriteBack>& stream,
                const CancellationToken* cancel) {
-  for (usize i = 0; i < stream.size(); i += kWriteBatch) {
+  for (const WriteBack& wb : stream) {
     check_cancel(cancel);
-    controller.write_lines(
-        stream.subspan(i, std::min(kWriteBatch, stream.size() - i)));
+    controller.write_line(wb.line_addr, wb.data);
   }
 }
 

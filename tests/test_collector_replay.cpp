@@ -112,6 +112,20 @@ TEST(Replay, EncodeLogicEnergyOnlyForReadSchemes) {
             0.0);
 }
 
+TEST(Replay, PaperModelsChargeEncodeLogicOnlyForTheReadFamily) {
+  // AFNW* is AFNW's accounting, and AFNW's encoder is not charged; READ+SAE*
+  // pays READ+SAE's encoder energy on the same non-silent write-backs.
+  SyntheticWorkload wl{small_profile("gcc"), 19};
+  const WritebackTrace trace = collect_writebacks(wl, tiny_collector());
+  EXPECT_EQ(replay_scheme(trace, Scheme::kAfnwPaper).stats.energy.logic_pj,
+            0.0);
+  const double sae_pj =
+      replay_scheme(trace, Scheme::kReadSaePaper).stats.energy.logic_pj;
+  EXPECT_GT(sae_pj, 0.0);
+  EXPECT_DOUBLE_EQ(
+      sae_pj, replay_scheme(trace, Scheme::kReadSae).stats.energy.logic_pj);
+}
+
 TEST(Replay, ReadEnergyIsIdenticalAcrossSchemes) {
   // The paper's accounting (Section 4.2.2): "the energy consumption of
   // other operations such as reads is the same in all the seven schemes".

@@ -60,6 +60,10 @@ TEST(Schemes, EncodeLogicChargedOnlyForContribution) {
   EXPECT_FALSE(charges_encode_logic(Scheme::kCafo));
   EXPECT_TRUE(charges_encode_logic(Scheme::kRead));
   EXPECT_TRUE(charges_encode_logic(Scheme::kReadSae));
+  EXPECT_TRUE(charges_encode_logic(Scheme::kReadPaper));
+  EXPECT_TRUE(charges_encode_logic(Scheme::kReadSaePaper));
+  EXPECT_FALSE(charges_encode_logic(Scheme::kAfnw));
+  EXPECT_FALSE(charges_encode_logic(Scheme::kAfnwPaper));
 }
 
 TEST(Schemes, NameRoundTrip) {

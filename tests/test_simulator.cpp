@@ -85,8 +85,11 @@ TEST(Simulator, NvmDecodesToProgramImageAfterDrain) {
                      }};
     MemoryController controller{ControllerConfig{}, make_encoder(scheme),
                                 device};
-    controller.write_lines(trace.warmup);
-    controller.write_lines(trace.measured);
+    for (const auto* window : {&trace.warmup, &trace.measured}) {
+      for (const WriteBack& wb : *window) {
+        controller.write_line(wb.line_addr, wb.data);
+      }
+    }
     usize checked = 0;
     for (const auto& [addr, want] : image) {
       ASSERT_EQ(controller.read_line(addr), want)

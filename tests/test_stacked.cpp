@@ -1,6 +1,8 @@
-#include "encoding/stacked.hpp"
+#include "core/stacked.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/fnw.hpp"
 #include "encoder_test_util.hpp"
@@ -41,6 +43,40 @@ TEST(Stacked, OverDcwBehavesLikePlainFnw) {
     const usize f2 = plain->encode(s2, logical).total();
     ASSERT_EQ(f1, f2) << "iter " << i;
     ASSERT_EQ(stacked.decode(s1), logical);
+  }
+}
+
+TEST(Stacked, OverDeuceIsFnwOnDeucesImage) {
+  // DEUCE+FNW8 is DEUCE, then FnwEncoder(8) on DEUCE's stored image: the
+  // same cells, DEUCE's metadata then FNW's tags, and the flips of both.
+  const StackedEncoder stacked{std::make_unique<DeuceEncoder>(), 8};
+  const DeuceEncoder deuce;
+  const FnwEncoder fnw{8};
+  const usize inner_meta = deuce.meta_bits();
+  Xoshiro256 rng{37};
+  CacheLine logical = testutil::random_line(rng);
+  StoredLine s = stacked.make_stored(logical);
+  StoredLine d = deuce.make_stored(logical);
+  StoredLine f = fnw.make_stored(d.data);
+  for (const testutil::WriteClass wc : testutil::kAllWriteClasses) {
+    for (int i = 0; i < 50; ++i) {
+      logical = testutil::next_line(rng, logical, wc);
+      const FlipBreakdown got = stacked.encode(s, logical);
+      const FlipBreakdown inner = deuce.encode(d, logical);
+      const FlipBreakdown outer = fnw.encode(f, d.data);
+      const std::string what = std::string{testutil::write_class_name(wc)} +
+                               " write " + std::to_string(i);
+      ASSERT_EQ(s.data, f.data) << what;
+      for (usize b = 0; b < s.meta.size(); ++b) {
+        ASSERT_EQ(s.meta.bit(b), b < inner_meta ? d.meta.bit(b)
+                                                : f.meta.bit(b - inner_meta))
+            << what << " meta bit " << b;
+      }
+      ASSERT_EQ(got.data, outer.data) << what;
+      ASSERT_EQ(got.tag, inner.tag + outer.tag) << what;
+      ASSERT_EQ(got.flag, inner.flag + outer.flag) << what;
+      ASSERT_EQ(stacked.decode(s), logical) << what;
+    }
   }
 }
 
