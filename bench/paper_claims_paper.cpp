@@ -279,7 +279,7 @@ void perf_overhead(const Study& study, Claims& claims) {
           TextTable::fmt_pct(row_runs[l].makespan_ns / base_ns - 1.0, 2));
     }
     row.push_back(
-        TextTable::fmt(row_runs[1].stats.read_latency_stat.mean(), 1) + "ns");
+        TextTable::fmt(row_runs[1].stats.read_latency_ns.mean(), 1) + "ns");
     table.add_row(std::move(row));
     at_paper.push_back(row_runs[1].makespan_ns / base_ns - 1.0);
     at_50ns.push_back(row_runs[3].makespan_ns / base_ns - 1.0);

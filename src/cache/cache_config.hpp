@@ -20,7 +20,6 @@ struct CacheConfig {
   std::string name;
   usize size_bytes = 0;
   usize ways = 1;
-  usize hit_latency_cycles = 1;
 
   [[nodiscard]] usize lines() const noexcept { return size_bytes / kLineBytes; }
   [[nodiscard]] usize sets() const noexcept { return lines() / ways; }
@@ -38,24 +37,18 @@ struct CacheConfig {
 /// the shared L3).
 [[nodiscard]] inline std::vector<CacheConfig> table2_hierarchy() {
   return {
-      {.name = "L1D", .size_bytes = 32 * 1024, .ways = 2,
-       .hit_latency_cycles = 2},
-      {.name = "L2", .size_bytes = 1024 * 1024, .ways = 8,
-       .hit_latency_cycles = 20},
-      {.name = "L3", .size_bytes = 16 * 1024 * 1024, .ways = 16,
-       .hit_latency_cycles = 50},
+      {.name = "L1D", .size_bytes = 32 * 1024, .ways = 2},
+      {.name = "L2", .size_bytes = 1024 * 1024, .ways = 8},
+      {.name = "L3", .size_bytes = 16 * 1024 * 1024, .ways = 16},
   };
 }
 
 /// Same shape, 1/64 capacity: used by the figure-regeneration benches.
 [[nodiscard]] inline std::vector<CacheConfig> scaled_hierarchy() {
   return {
-      {.name = "L1D", .size_bytes = 4 * 1024, .ways = 2,
-       .hit_latency_cycles = 2},
-      {.name = "L2", .size_bytes = 16 * 1024, .ways = 8,
-       .hit_latency_cycles = 20},
-      {.name = "L3", .size_bytes = 256 * 1024, .ways = 16,
-       .hit_latency_cycles = 50},
+      {.name = "L1D", .size_bytes = 4 * 1024, .ways = 2},
+      {.name = "L2", .size_bytes = 16 * 1024, .ways = 8},
+      {.name = "L3", .size_bytes = 256 * 1024, .ways = 16},
   };
 }
 

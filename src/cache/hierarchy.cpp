@@ -85,22 +85,10 @@ u64 CacheHierarchy::access(const MemAccess& access) {
 
 void CacheHierarchy::flush() {
   // Flush from the innermost level outward so newer data overwrites older
-  // copies on its way down.
+  // copies on its way down. Victims only move outward, so a level flushed
+  // after every level above it stays empty: one pass reaches the backend.
   std::vector<Victim> victims;
   for (usize i = 0; i < levels_.size(); ++i) {
-    victims.clear();
-    levels_[i]->flush(victims);
-    for (const Victim& v : victims) {
-      if (i + 1 < levels_.size()) {
-        insert_and_cascade(i + 1, v.line_addr, v.data, true);
-      } else {
-        backend_->write_line(v.line_addr, v.data);
-      }
-    }
-  }
-  // Flushing inner levels may have re-populated outer ones; drain until
-  // everything reaches the backend.
-  for (usize i = 1; i < levels_.size(); ++i) {
     victims.clear();
     levels_[i]->flush(victims);
     for (const Victim& v : victims) {

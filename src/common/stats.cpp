@@ -13,22 +13,6 @@ double Histogram::mean() const noexcept {
   return sum / static_cast<double>(total_);
 }
 
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-}
-
 void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
   if (other.count_ == 0) return;
   for (usize i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];

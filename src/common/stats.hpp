@@ -1,9 +1,10 @@
 // Statistics accumulators used by the simulator and the benchmark harness.
 //
-// RunningStat tracks count/mean/min/max/variance online (Welford);
 // Histogram buckets integer observations; LatencyHistogram log-buckets
-// latency samples for tail percentiles; geomean_ratio reduces a set of
-// per-benchmark normalized results the way the paper reports averages.
+// latency samples and keeps their exact count, sum, min and max, so one
+// accumulator answers both the mean and the tail percentiles; geomean
+// reduces a set of per-benchmark normalized results the way the paper
+// reports averages.
 #pragma once
 
 #include <array>
@@ -16,45 +17,6 @@
 #include "common/types.hpp"
 
 namespace nvmenc {
-
-/// Online mean / variance / extrema over a stream of doubles.
-class RunningStat {
- public:
-  void add(double x) noexcept {
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    if (x < min_ || count_ == 1) min_ = x;
-    if (x > max_ || count_ == 1) max_ = x;
-  }
-
-  [[nodiscard]] u64 count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-  /// Sample variance (n - 1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept {
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-  }
-
-  /// Folds `other` into this accumulator (Chan et al. pairwise combine).
-  /// Count/min/max are exact; mean and m2 are the standard parallel
-  /// update, so per-shard accumulators merged in a FIXED order (channel
-  /// id) give one deterministic result regardless of how many threads
-  /// produced them.
-  void merge(const RunningStat& other) noexcept;
-
-  /// Exact state equality — the determinism tests' "bit-identical" check.
-  [[nodiscard]] bool operator==(const RunningStat&) const = default;
-
- private:
-  u64 count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Fixed-range integer histogram with an overflow bucket.
 class Histogram {
@@ -97,7 +59,8 @@ class Histogram {
 };
 
 /// Log-bucketed latency histogram built for tail percentiles
-/// (p50/p95/p99/p999), which a mean-only RunningStat cannot answer.
+/// (p50/p95/p99/p999); the mean, min and max are kept exactly beside the
+/// buckets.
 ///
 /// HdrHistogram-style bucketing: 16 sub-buckets per power of two, so any
 /// recorded value is off by at most 1/16 (6.25%) of itself; values below

@@ -54,7 +54,7 @@ void ChannelShard::push_completion(const MemSysCompletion& completion) {
       std::max(stats_.last_completion_ns, completion.time_ns);
 }
 
-void ChannelShard::accept_write(u64 ticket, u64 line_addr, double arrival,
+void ChannelShard::accept_write(u64 ticket, u64 line_addr,
                                 double accept_time) {
   ++stats_.writes;
   if (queued_lines_.contains(line_addr)) {
@@ -68,7 +68,6 @@ void ChannelShard::accept_write(u64 ticket, u64 line_addr, double arrival,
       ++stats_.drains;
     }
   }
-  stats_.write_accept_ns.add(accept_time - arrival);
   push_completion({ticket, accept_time, ReqKind::kWrite, false});
 }
 
@@ -134,7 +133,6 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       // Read-around-write: the line is still buffered on chip.
       ++stats_.forwarded_reads;
       stats_.read_latency_ns.add(forward_ns_);
-      stats_.read_latency_stat.add(forward_ns_);
       push_completion({ticket, now_ns + forward_ns_, ReqKind::kRead, true});
     } else {
       const BankAddress where = decompose(timing_.org(), line_addr);
@@ -144,7 +142,7 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
   } else {
     if (queued_lines_.contains(line_addr) ||
         writes_.size() < write_queue_capacity_) {
-      accept_write(ticket, line_addr, now_ns, now_ns);
+      accept_write(ticket, line_addr, now_ns);
     } else {
       // Queue full: the write (and the CPU behind it) stalls until a
       // drain frees a slot.
@@ -285,9 +283,7 @@ bool ChannelShard::issue_read(double now) {
         r.where.bank, done,
         ras_->on_demand_read(r.line_addr, now).bank_ns(timing_.org()));
   }
-  const double latency = done - r.arrival;
-  stats_.read_latency_ns.add(latency);
-  stats_.read_latency_stat.add(latency);
+  stats_.read_latency_ns.add(done - r.arrival);
   push_completion({r.ticket, done, ReqKind::kRead, false});
   slot_free_at_ = now + t_cmd_ns_;
   return true;
@@ -332,8 +328,7 @@ bool ChannelShard::issue_write(double now) {
     parked_.pop_front();
     // The slot may free before the parked write even arrives (arbitration
     // can run ahead of arrivals the caller already submitted).
-    accept_write(p.ticket, p.line_addr, p.arrival,
-                 std::max(now, p.arrival));
+    accept_write(p.ticket, p.line_addr, std::max(now, p.arrival));
   }
   if (draining_ && parked_.empty() && writes_.size() <= low_watermark_) {
     draining_ = false;

@@ -214,8 +214,7 @@ class ChannelShard {
   /// holds its destination's bank, and the fault domain books its cost
   /// and the destination's wear.
   void charge_wl_migrations(double now_ns);
-  void accept_write(u64 ticket, u64 line_addr, double arrival,
-                    double accept_time);
+  void accept_write(u64 ticket, u64 line_addr, double accept_time);
   void push_completion(const MemSysCompletion& completion);
 
   usize channel_ = 0;

@@ -36,8 +36,6 @@ struct MemSysStats {
   u64 write_stalls = 0;       ///< arrivals parked on a full write queue
   u64 drains = 0;             ///< high-watermark drain episodes
   LatencyHistogram read_latency_ns;   ///< arrival -> data, queueing incl.
-  LatencyHistogram write_accept_ns;   ///< arrival -> accepted (backpressure)
-  RunningStat read_latency_stat;      ///< mean/min/max of the same samples
   double last_completion_ns = 0.0;    ///< makespan end
 
   /// Application-visible throughput: completed read + accepted write lines
@@ -61,8 +59,6 @@ struct MemSysStats {
     write_stalls += other.write_stalls;
     drains += other.drains;
     read_latency_ns.merge(other.read_latency_ns);
-    write_accept_ns.merge(other.write_accept_ns);
-    read_latency_stat.merge(other.read_latency_stat);
     if (other.last_completion_ns > last_completion_ns) {
       last_completion_ns = other.last_completion_ns;
     }

@@ -59,8 +59,8 @@ struct TraceReplayConfig {
 };
 
 struct TraceReplayResult {
-  MemSysStats stats;    ///< request-level counters + latency histograms
-  TimingStats timing;   ///< array-level counters (row hits, bank latency)
+  MemSysStats stats;    ///< request-level counters + read-latency histogram
+  TimingStats timing;   ///< array-level counters (accesses, row hits)
   RasReport ras;        ///< per-channel fault/recovery view (empty = RAS off)
   double makespan_ns = 0.0;  ///< last array operation finished
   u64 accesses = 0;          ///< accesses actually replayed

@@ -21,8 +21,9 @@ struct EnergyParams {
   /// other operations such as reads is the same"), so reads are charged
   /// for the 512 data bits only — metadata sensing is excluded by design.
   double read_pj_per_bit = 0.2;
-  double encode_logic_pj = 81.65;  ///< per encoded line write (paper §3.4.2)
-  double decode_logic_pj = 0.0;    ///< negligible (paper §3.4.2)
+  /// Per encoded line write (paper §3.4.2). Decode logic is negligible
+  /// (§3.4.2), so reads charge no logic energy.
+  double encode_logic_pj = 81.65;
 
   double read_latency_ns = 100.0;   ///< Table 2
   double write_latency_ns = 150.0;  ///< Table 2
@@ -50,7 +51,6 @@ struct EnergyLedger {
                  u64 count) noexcept {
     const double n = static_cast<double>(count);
     read_pj += n * static_cast<double>(bits_sensed) * p.read_pj_per_bit;
-    logic_pj += n * p.decode_logic_pj;
     busy_ns += n * p.read_latency_ns;
   }
 

@@ -14,10 +14,6 @@ void TimingStats::merge(const TimingStats& other) noexcept {
   writes += other.writes;
   row_hits += other.row_hits;
   row_misses += other.row_misses;
-  read_latency_ns.merge(other.read_latency_ns);
-  write_latency_ns.merge(other.write_latency_ns);
-  read_latency_hist.merge(other.read_latency_hist);
-  write_latency_hist.merge(other.write_latency_hist);
 }
 
 double MemoryTimingModel::access(u64 line_addr, MemOp op,
@@ -51,15 +47,10 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
   bus_free_at_ = completion;
   bank.free_at = completion;
 
-  const double latency = completion - arrival_ns;
   if (op == MemOp::kRead) {
     ++stats_.reads;
-    stats_.read_latency_ns.add(latency);
-    stats_.read_latency_hist.add(latency);
   } else {
     ++stats_.writes;
-    stats_.write_latency_ns.add(latency);
-    stats_.write_latency_hist.add(latency);
   }
   return completion;
 }

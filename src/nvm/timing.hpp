@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace nvmenc {
@@ -86,10 +85,6 @@ struct TimingStats {
   u64 writes = 0;
   u64 row_hits = 0;
   u64 row_misses = 0;
-  RunningStat read_latency_ns;   ///< arrival -> data returned
-  RunningStat write_latency_ns;  ///< arrival -> cells committed
-  LatencyHistogram read_latency_hist;   ///< same samples, tail percentiles
-  LatencyHistogram write_latency_hist;
 
   [[nodiscard]] double row_hit_rate() const noexcept {
     const u64 total = row_hits + row_misses;
@@ -98,10 +93,7 @@ struct TimingStats {
                             static_cast<double>(total);
   }
 
-  /// Folds `other` into this accumulator. Counters and histogram buckets
-  /// are exact; the RunningStats use the parallel combine. Per-shard
-  /// stats merge in channel-id order so results are independent of how
-  /// many threads advanced the shards.
+  /// Folds `other` into this accumulator; every field is an exact count.
   void merge(const TimingStats& other) noexcept;
 
   [[nodiscard]] bool operator==(const TimingStats&) const = default;
@@ -138,7 +130,7 @@ class MemoryTimingModel {
   /// re-pulses, SAFER re-partitions, retirement copies) in virtual time.
   /// The occupancy delays every later request on the bank — exactly how
   /// faulty media surfaces in the read tail — without touching the bus or
-  /// the latency statistics of the access that triggered it.
+  /// the row counters.
   void occupy_bank(usize bank, double from_ns, double extra_ns);
 
  private:

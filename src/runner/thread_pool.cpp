@@ -30,29 +30,16 @@ void ThreadPool::enqueue(std::function<void()> job) {
   work_available_.notify_one();
 }
 
-void ThreadPool::shutdown() { stop(/*abandon=*/false); }
-
-void ThreadPool::cancel() { stop(/*abandon=*/true); }
-
-void ThreadPool::stop(bool abandon) {
+void ThreadPool::shutdown() {
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (stopping_) return;
     stopping_ = true;
-    // Destroying a queued packaged_task before it ran stores
-    // broken_promise into its future — exactly the signal a caller
-    // blocked in future::get() needs to learn its task was abandoned.
-    if (abandon) queue_.clear();
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-}
-
-usize ThreadPool::pending() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return queue_.size();
 }
 
 void ThreadPool::worker_loop() {

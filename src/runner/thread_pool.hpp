@@ -48,17 +48,10 @@ class ThreadPool {
 
   /// Graceful stop: every task already in the queue still runs, then the
   /// workers join. Idempotent: calling it again (or destroying the pool
-  /// after it, or after cancel()) is a no-op.
+  /// after it) is a no-op. Stopping early is not the pool's job: a
+  /// matrix stops through ExperimentConfig::cancel, which the runner polls
+  /// before each cell and each cell polls once per write-back.
   void shutdown();
-
-  /// Abandoning stop: tasks not yet started are discarded (their futures
-  /// report std::future_error / broken_promise), in-flight tasks finish,
-  /// then the workers join. This is the Ctrl-C path — a cancelled matrix
-  /// must not run the rest of its cells to completion first.
-  void cancel();
-
-  /// Tasks queued but not yet picked up by a worker.
-  [[nodiscard]] usize pending() const;
 
   [[nodiscard]] usize size() const noexcept { return workers_.size(); }
 
@@ -68,10 +61,8 @@ class ThreadPool {
  private:
   void enqueue(std::function<void()> job);
   void worker_loop();
-  /// Shared stop implementation; `abandon` drops the queued tasks.
-  void stop(bool abandon);
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

@@ -294,18 +294,16 @@ u64 experiment_fingerprint(const std::vector<std::string>& benchmarks,
     h.add_bytes(cache.name);
     h.add_u64(cache.size_bytes);
     h.add_u64(cache.ways);
-    h.add_u64(cache.hit_latency_cycles);
   }
   h.add_u64(c.warmup_accesses);
   h.add_u64(c.measured_accesses);
-  h.add_u64(c.record_requests ? 1 : 0);
+  h.add_u64(c.drain ? 1 : 0);
 
   const EnergyParams& e = config.energy;
   h.add_u64(std::bit_cast<u64>(e.set_pj));
   h.add_u64(std::bit_cast<u64>(e.reset_pj));
   h.add_u64(std::bit_cast<u64>(e.read_pj_per_bit));
   h.add_u64(std::bit_cast<u64>(e.encode_logic_pj));
-  h.add_u64(std::bit_cast<u64>(e.decode_logic_pj));
   h.add_u64(std::bit_cast<u64>(e.read_latency_ns));
   h.add_u64(std::bit_cast<u64>(e.write_latency_ns));
   h.add_u64(std::bit_cast<u64>(e.encode_latency_ns));

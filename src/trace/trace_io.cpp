@@ -3,8 +3,6 @@
 #include <array>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -24,10 +22,9 @@ namespace {
 constexpr std::array<char, 8> kMagic = {'N', 'V', 'M', 'T',
                                         'R', 'A', 'C', 'E'};
 
-/// Every diagnostic names its source: "trace file <path>: <defect>". The
-/// stream overloads use "<stream>" as the source name.
-[[noreturn]] void fail(const std::string& source, const std::string& what) {
-  throw std::runtime_error("trace file " + source + ": " + what);
+/// Every diagnostic names its file: "trace file <path>: <defect>".
+[[noreturn]] void fail(const std::string& path, const std::string& what) {
+  throw std::runtime_error("trace file " + path + ": " + what);
 }
 
 void store_u32(unsigned char* p, u32 v) {
@@ -74,95 +71,51 @@ MemAccess decode_record(const unsigned char* p) noexcept {
   return a;
 }
 
-/// Validates a fully read header, returning the record count. `file_bytes`
-/// is the total file size when known (mmap/file paths), or ~0 for streams
-/// (whose truncation is detected record by record instead).
-u64 validate_header(const unsigned char* buf, const std::string& source,
+/// Validates the header of a `file_bytes`-byte file, at least a header
+/// long, returning the record count.
+u64 validate_header(const unsigned char* buf, const std::string& path,
                     u64 file_bytes) {
   if (std::memcmp(buf, kMagic.data(), kMagic.size()) != 0) {
-    fail(source, "bad magic (not an NVMTRACE file)");
+    fail(path, "bad magic (not an NVMTRACE file)");
   }
   const u32 version = load_u32(buf + 8);
   if (version != kTraceVersion) {
-    fail(source, "unsupported version " + std::to_string(version) +
-                     " (this build reads version " +
-                     std::to_string(kTraceVersion) + ")");
+    fail(path, "unsupported version " + std::to_string(version) +
+                   " (this build reads version " +
+                   std::to_string(kTraceVersion) + ")");
   }
   const u32 record_bytes = load_u32(buf + 12);
   if (record_bytes != kTraceRecordBytes) {
-    fail(source, "record size " + std::to_string(record_bytes) +
-                     " does not match this build's format (" +
-                     std::to_string(kTraceRecordBytes) + " bytes)");
+    fail(path, "record size " + std::to_string(record_bytes) +
+                   " does not match this build's format (" +
+                   std::to_string(kTraceRecordBytes) + " bytes)");
   }
   const u64 count = load_u64(buf + 16);
-  if (file_bytes != ~u64{0}) {
-    const u64 need = kTraceHeaderBytes + count * kTraceRecordBytes;
-    if (file_bytes < need) {
-      fail(source, "truncated: header promises " + std::to_string(count) +
-                       " records (" + std::to_string(need) +
-                       " bytes) but the file holds " +
-                       std::to_string(file_bytes));
-    }
+  // Divide, never multiply: a corrupt count times the record size can
+  // wrap past the file size and pass the check.
+  if (count > (file_bytes - kTraceHeaderBytes) / kTraceRecordBytes) {
+    fail(path, "truncated: header promises " + std::to_string(count) +
+                   " records of " + std::to_string(kTraceRecordBytes) +
+                   " bytes but the file holds " +
+                   std::to_string(file_bytes) + " bytes");
   }
   return count;
 }
 
 }  // namespace
 
-void write_trace(std::ostream& os, const std::vector<MemAccess>& trace) {
-  unsigned char header[kTraceHeaderBytes];
-  encode_header(header, trace.size());
-  os.write(reinterpret_cast<const char*>(header), sizeof header);
-  unsigned char rec[kTraceRecordBytes];
-  for (const MemAccess& a : trace) {
-    encode_record(rec, a);
-    os.write(reinterpret_cast<const char*>(rec), sizeof rec);
-  }
-  if (!os) throw std::runtime_error("trace write failed");
-}
-
 void write_trace(const std::string& path, const std::vector<MemAccess>& trace) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error("cannot open trace output: " + path);
-  write_trace(out, trace);
-}
-
-namespace {
-
-std::vector<MemAccess> read_trace_stream(std::istream& is,
-                                         const std::string& source) {
-  unsigned char header[kTraceHeaderBytes];
-  is.read(reinterpret_cast<char*>(header), sizeof header);
-  if (is.gcount() != static_cast<std::streamsize>(sizeof header)) {
-    fail(source, "truncated header: " + std::to_string(is.gcount()) +
-                     " bytes, need " + std::to_string(kTraceHeaderBytes));
-  }
-  const u64 count = validate_header(header, source, ~u64{0});
-  std::vector<MemAccess> trace;
-  trace.reserve(count);
-  unsigned char rec[kTraceRecordBytes];
-  for (u64 i = 0; i < count; ++i) {
-    is.read(reinterpret_cast<char*>(rec), sizeof rec);
-    if (is.gcount() != static_cast<std::streamsize>(sizeof rec)) {
-      fail(source, "truncated: header promises " + std::to_string(count) +
-                       " records but record " + std::to_string(i) +
-                       " is cut short");
-    }
-    trace.push_back(decode_record(rec));
-  }
-  return trace;
-}
-
-}  // namespace
-
-std::vector<MemAccess> read_trace(std::istream& is) {
-  return read_trace_stream(is, "<stream>");
+  TraceWriter writer{path};
+  for (const MemAccess& a : trace) writer.append(a);
+  writer.close();
 }
 
 std::vector<MemAccess> read_trace(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error("cannot open trace input: " + path);
-  return read_trace_stream(in, path);
+  const MappedTrace mapped{path};
+  std::vector<MemAccess> trace;
+  trace.reserve(mapped.size());
+  for (usize i = 0; i < mapped.size(); ++i) trace.push_back(mapped[i]);
+  return trace;
 }
 
 // ---- TraceWriter ------------------------------------------------------
@@ -237,6 +190,10 @@ MappedTrace::MappedTrace(const std::string& path) : path_{path} {
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
     fail(path, "cannot stat");
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    fail(path, "not a regular file");
   }
   const u64 file_bytes = static_cast<u64>(st.st_size);
   if (file_bytes < kTraceHeaderBytes) {

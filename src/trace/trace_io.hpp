@@ -21,9 +21,12 @@
 // 0 = read, 1 = write, and the pad bytes are written as zero. The header
 // carries the record size so a reader can reject a file whose layout it
 // does not understand instead of silently misparsing it.
+//
+// One codec: TraceWriter is the only encoder and MappedTrace the only
+// decoder and validator. write_trace and read_trace are conveniences over
+// them, so traces are read from regular files only.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -38,16 +41,14 @@ inline constexpr usize kTraceRecordBytes = 24;
 /// Bytes of the file header.
 inline constexpr usize kTraceHeaderBytes = 32;
 
-/// Writes the full access vector; throws std::runtime_error on I/O failure.
+/// Writes the full access vector through a TraceWriter; throws
+/// std::runtime_error naming the file on I/O failure.
 void write_trace(const std::string& path, const std::vector<MemAccess>& trace);
-void write_trace(std::ostream& os, const std::vector<MemAccess>& trace);
 
-/// Reads a trace file written by write_trace into memory; throws
-/// std::runtime_error (message names the file and the defect) on I/O
-/// failure, bad magic, wrong version, record-size mismatch or truncation.
-/// For large traces prefer MappedTrace, which reads nothing up front.
+/// Copies every record of a MappedTrace of `path` into memory, so it
+/// rejects exactly what MappedTrace rejects. For large traces use
+/// MappedTrace directly, which reads nothing up front.
 [[nodiscard]] std::vector<MemAccess> read_trace(const std::string& path);
-[[nodiscard]] std::vector<MemAccess> read_trace(std::istream& is);
 
 /// Streaming writer for traces too large to materialize as a vector: the
 /// header is written with a zero count up front, records are appended
@@ -82,8 +83,9 @@ class TraceWriter {
 class MappedTrace {
  public:
   /// Maps `path`; throws std::runtime_error naming the file and the defect
-  /// on open/map failure, bad magic, wrong version, record-size mismatch
-  /// or a file shorter than the header's record count promises.
+  /// on open/map failure, a path that is not a regular file, bad magic,
+  /// wrong version, record-size mismatch or a file shorter than the
+  /// header's record count promises.
   explicit MappedTrace(const std::string& path);
   ~MappedTrace();
   MappedTrace(MappedTrace&& other) noexcept;

@@ -234,17 +234,4 @@ u64 RegionedLeveler::extra_writes() const {
   return total;
 }
 
-// ------------------------------------------------------------- lifetime --
-
-double estimate_lifetime_writes(const WearLeveler& leveler,
-                                u64 endurance_flips, u64 observed_writes) {
-  const WearLeveler::Report r = leveler.report();
-  if (r.max_wear <= 0.0 || observed_writes == 0) return 0.0;
-  // Wear grows linearly with traffic; the first slot to hit the endurance
-  // limit ends the region's life.
-  const double wear_per_write =
-      r.max_wear / static_cast<double>(observed_writes);
-  return static_cast<double>(endurance_flips) / wear_per_write;
-}
-
 }  // namespace nvmenc

@@ -177,11 +177,4 @@ class RegionedLeveler final : public WearLeveler {
   mutable std::vector<u64> wear_;  // concatenated view, built on demand
 };
 
-/// Lifetime of the region in total write-backs until the first physical
-/// slot accumulates `endurance_flips`, extrapolated linearly from the
-/// observed wear distribution. Returns 0 when nothing was written.
-[[nodiscard]] double estimate_lifetime_writes(const WearLeveler& leveler,
-                                              u64 endurance_flips,
-                                              u64 observed_writes);
-
 }  // namespace nvmenc

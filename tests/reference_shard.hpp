@@ -87,7 +87,6 @@ class ReferenceShard {
       if (queued_lines_.contains(line_addr)) {
         ++stats_.forwarded_reads;
         stats_.read_latency_ns.add(forward_ns_);
-        stats_.read_latency_stat.add(forward_ns_);
         push_completion({ticket, now_ns + forward_ns_, ReqKind::kRead, true});
       } else {
         reads_.push_back({ticket, line_addr, now_ns,
@@ -271,7 +270,7 @@ class ReferenceShard {
         std::max(stats_.last_completion_ns, completion.time_ns);
   }
 
-  void accept_write(u64 ticket, u64 line_addr, double arrival,
+  void accept_write(u64 ticket, u64 line_addr, double /*arrival*/,
                     double accept_time) {
     ++stats_.writes;
     if (queued_lines_.contains(line_addr)) {
@@ -285,7 +284,6 @@ class ReferenceShard {
         ++stats_.drains;
       }
     }
-    stats_.write_accept_ns.add(accept_time - arrival);
     push_completion({ticket, accept_time, ReqKind::kWrite, false});
   }
 
@@ -357,7 +355,6 @@ class ReferenceShard {
     }
     const double latency = done - r.arrival;
     stats_.read_latency_ns.add(latency);
-    stats_.read_latency_stat.add(latency);
     push_completion({r.ticket, done, ReqKind::kRead, false});
     slot_free_at_ = now + t_cmd_ns_;
     return true;

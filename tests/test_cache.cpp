@@ -6,8 +6,7 @@ namespace nvmenc {
 namespace {
 
 CacheConfig tiny_config(usize lines = 8, usize ways = 2) {
-  return {.name = "test", .size_bytes = lines * kLineBytes, .ways = ways,
-          .hit_latency_cycles = 1};
+  return {.name = "test", .size_bytes = lines * kLineBytes, .ways = ways};
 }
 
 CacheLine line_of(u64 value) {

@@ -257,6 +257,90 @@ TEST(CheckpointResume, FingerprintMismatchRefusesToResume) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CheckpointResume, FingerprintCoversDrain) {
+  // Draining flushes the caches into the measured window, so it changes
+  // every cell; recording the request stream changes none.
+  const std::vector<std::string> names{"gcc"};
+  const std::vector<Scheme> schemes = small_schemes();
+  const ExperimentConfig cfg = small_config(1);
+  ExperimentConfig drained = cfg;
+  drained.collector.drain = !cfg.collector.drain;
+  EXPECT_NE(experiment_fingerprint(names, schemes, drained),
+            experiment_fingerprint(names, schemes, cfg));
+  ExperimentConfig recorded = cfg;
+  recorded.collector.record_requests = !cfg.collector.record_requests;
+  EXPECT_EQ(experiment_fingerprint(names, schemes, recorded),
+            experiment_fingerprint(names, schemes, cfg));
+}
+
+TEST(CheckpointResume, FingerprintCoversEveryCellInput) {
+  // Every field that fixes a cell moves the fingerprint; how the matrix is
+  // run (worker count, checkpoint location, a stop token) does not.
+  const std::vector<std::string> names{"gcc", "milc"};
+  const std::vector<Scheme> schemes = small_schemes();
+  const ExperimentConfig base = small_config(1);
+  const u64 fp = experiment_fingerprint(names, schemes, base);
+  using Change = void (*)(ExperimentConfig&);
+  const std::vector<std::pair<const char*, Change>> inputs{
+      {"seed", [](ExperimentConfig& c) { c.seed += 1; }},
+      {"cache levels",
+       [](ExperimentConfig& c) { c.collector.caches.pop_back(); }},
+      {"cache size",
+       [](ExperimentConfig& c) { c.collector.caches[1].size_bytes *= 2; }},
+      {"cache ways",
+       [](ExperimentConfig& c) { c.collector.caches[1].ways *= 2; }},
+      {"warm-up", [](ExperimentConfig& c) { c.collector.warmup_accesses++; }},
+      {"measured",
+       [](ExperimentConfig& c) { c.collector.measured_accesses++; }},
+      {"drain",
+       [](ExperimentConfig& c) { c.collector.drain = !c.collector.drain; }},
+      {"set_pj", [](ExperimentConfig& c) { c.energy.set_pj += 1.0; }},
+      {"reset_pj", [](ExperimentConfig& c) { c.energy.reset_pj += 1.0; }},
+      {"read_pj_per_bit",
+       [](ExperimentConfig& c) { c.energy.read_pj_per_bit += 0.1; }},
+      {"encode_logic_pj",
+       [](ExperimentConfig& c) { c.energy.encode_logic_pj += 1.0; }},
+      {"read_latency_ns",
+       [](ExperimentConfig& c) { c.energy.read_latency_ns += 1.0; }},
+      {"write_latency_ns",
+       [](ExperimentConfig& c) { c.energy.write_latency_ns += 1.0; }},
+      {"encode_latency_ns",
+       [](ExperimentConfig& c) { c.energy.encode_latency_ns += 1.0; }},
+      {"write_fail_rate",
+       [](ExperimentConfig& c) { c.fault.inject.write_fail_rate = 1e-3; }},
+      {"read_disturb_rate",
+       [](ExperimentConfig& c) { c.fault.inject.read_disturb_rate = 1e-3; }},
+      {"stuck_rate",
+       [](ExperimentConfig& c) { c.fault.inject.stuck_rate = 1e-3; }},
+      {"fault seed", [](ExperimentConfig& c) { c.fault.inject.seed += 1; }},
+      {"retry_limit", [](ExperimentConfig& c) { c.fault.retry_limit += 1; }},
+      {"protect_meta",
+       [](ExperimentConfig& c) { c.fault.protect_meta = !c.fault.protect_meta; }},
+      {"force_verify",
+       [](ExperimentConfig& c) { c.fault.force_verify = !c.fault.force_verify; }},
+      {"atomic_writes",
+       [](ExperimentConfig& c) {
+         c.fault.atomic_writes = !c.fault.atomic_writes;
+       }},
+  };
+  for (const auto& [what, change] : inputs) {
+    ExperimentConfig c = base;
+    change(c);
+    EXPECT_NE(experiment_fingerprint(names, schemes, c), fp) << what;
+  }
+  EXPECT_NE(experiment_fingerprint({"gcc"}, schemes, base), fp);
+  EXPECT_NE(experiment_fingerprint({"milc", "gcc"}, schemes, base), fp);
+  EXPECT_NE(experiment_fingerprint(names, {Scheme::kDcw}, base), fp);
+
+  const CancellationToken token;
+  ExperimentConfig run = base;
+  run.jobs = 4;
+  run.checkpoint.dir = "elsewhere";
+  run.checkpoint.resume = true;
+  run.cancel = &token;
+  EXPECT_EQ(experiment_fingerprint(names, schemes, run), fp);
+}
+
 TEST(CheckpointResume, CellErrorsRoundTripThroughTheCheckpoint) {
   // Graceful-degradation failures are deterministic results, not pending
   // work: a poisoned benchmark's CellError is checkpointed, resumed

@@ -104,6 +104,27 @@ TEST(Controller, EncodeLogicChargedWhenConfigured) {
   EXPECT_DOUBLE_EQ(no_logic.controller.stats().energy.logic_pj, 0.0);
 }
 
+TEST(Controller, ReadsChargeNoLogicEnergy) {
+  // Decode logic is negligible (paper §3.4.2): a read pays for sensing and
+  // array time only, even on a controller that charges every encode.
+  ControllerConfig config;
+  config.charge_encode_logic = true;
+  Rig rig{Scheme::kReadSae, config};
+  CacheLine line;
+  line.set_word(0, 1);
+  rig.controller.write_line(0x40, line);
+  const EnergyLedger after_write = rig.controller.stats().energy;
+  EXPECT_EQ(rig.controller.read_line(0x40), line);
+  (void)rig.controller.read_line(0x80);
+  const EnergyLedger& e = rig.controller.stats().energy;
+  const EnergyParams p;
+  EXPECT_DOUBLE_EQ(e.logic_pj, p.encode_logic_pj);  // the write's only
+  EXPECT_DOUBLE_EQ(e.read_pj - after_write.read_pj,
+                   2.0 * 512 * p.read_pj_per_bit);
+  EXPECT_DOUBLE_EQ(e.busy_ns - after_write.busy_ns, 2.0 * p.read_latency_ns);
+  EXPECT_DOUBLE_EQ(e.write_pj, after_write.write_pj);
+}
+
 TEST(Controller, DeviceFlipTotalsMatchStats) {
   Rig rig{Scheme::kReadSae};
   Xoshiro256 rng{11};

@@ -76,6 +76,33 @@ TEST(Hierarchy, FlushLeavesCachesEmpty) {
   }
 }
 
+TEST(Hierarchy, FlushWritesEachDirtyLineOnce) {
+  // Fills allocate in every level, so a dirty line has clean copies below
+  // it. Flushing inner levels first folds each dirty line into the next
+  // level's copy, and the backend sees every dirty line exactly once.
+  MapBackend backend;
+  CacheHierarchy h{tiny_hierarchy(), backend};
+  const u64 lines = 32;  // spills L1 and L2, fits L3 without evictions
+  for (u64 i = 0; i < lines; ++i) h.access({i * kLineBytes, Op::kWrite, i});
+  ASSERT_EQ(backend.writes, 0u);
+  h.flush();
+  EXPECT_EQ(backend.writes, lines);
+  ASSERT_EQ(backend.image.size(), lines);
+  for (u64 i = 0; i < lines; ++i) {
+    EXPECT_EQ(backend.image[i * kLineBytes].word(0), i) << "line " << i;
+  }
+}
+
+TEST(Hierarchy, SecondFlushWritesNothing) {
+  MapBackend backend;
+  CacheHierarchy h{tiny_hierarchy(), backend};
+  for (u64 i = 0; i < 32; ++i) h.access({i * kLineBytes, Op::kWrite, i});
+  h.flush();
+  const u64 after_first = backend.writes;
+  h.flush();
+  EXPECT_EQ(backend.writes, after_first);
+}
+
 TEST(Hierarchy, EvictionWritesBackDirtyLines) {
   MapBackend backend;
   CacheHierarchy h{tiny_hierarchy(), backend};

@@ -69,8 +69,7 @@ TEST(ShardedLoadGenTest, SeedChangesTheRun) {
   const LoadResult a = run_load_sharded(load, mem, 2);
   load.seed = 4321;
   const LoadResult b = run_load_sharded(load, mem, 2);
-  EXPECT_NE(a.stats.read_latency_stat.mean(),
-            b.stats.read_latency_stat.mean());
+  EXPECT_NE(a.stats.read_latency_ns.mean(), b.stats.read_latency_ns.mean());
 }
 
 TEST(ShardedLoadGenTest, PatternsDiffer) {

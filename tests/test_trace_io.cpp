@@ -2,20 +2,32 @@
 
 #include <gtest/gtest.h>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/rng.hpp"
 
 namespace nvmenc {
 namespace {
 
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+/// Writes `bytes` to the temp file `name` and returns its path.
+std::string temp_file(const std::string& name, const std::string& bytes) {
+  const std::string path = temp_path(name);
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
 /// Writes `trace` to a temp file, lets `corrupt` mangle the raw bytes,
 /// writes the result back and returns its path.
 std::string corrupted_trace_file(const std::string& name,
                                  const std::vector<MemAccess>& trace,
                                  void (*corrupt)(std::string&)) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = temp_path(name);
   write_trace(path, trace);
   std::string bytes;
   {
@@ -23,9 +35,7 @@ std::string corrupted_trace_file(const std::string& name,
     bytes.assign(std::istreambuf_iterator<char>{in}, {});
   }
   corrupt(bytes);
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return path;
+  return temp_file(name, bytes);
 }
 
 std::vector<MemAccess> small_trace() {
@@ -43,9 +53,9 @@ TEST(MemAccess, LineAddrAndWordIndex) {
 }
 
 TEST(TraceIo, EmptyRoundTrip) {
-  std::stringstream ss;
-  write_trace(ss, {});
-  EXPECT_TRUE(read_trace(ss).empty());
+  const std::string path = temp_path("nvmenc_empty_round_trip.bin");
+  write_trace(path, {});
+  EXPECT_TRUE(read_trace(path).empty());
 }
 
 TEST(TraceIo, RoundTripsRecords) {
@@ -56,9 +66,9 @@ TEST(TraceIo, RoundTripsRecords) {
                      rng.next_bool(0.5) ? Op::kWrite : Op::kRead,
                      rng.next()});
   }
-  std::stringstream ss;
-  write_trace(ss, trace);
-  const std::vector<MemAccess> back = read_trace(ss);
+  const std::string path = temp_path("nvmenc_round_trip.bin");
+  write_trace(path, trace);
+  const std::vector<MemAccess> back = read_trace(path);
   ASSERT_EQ(back.size(), trace.size());
   for (usize i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(back[i], trace[i]) << "record " << i;
@@ -66,19 +76,17 @@ TEST(TraceIo, RoundTripsRecords) {
 }
 
 TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "NOTATRACE-file-content";
-  EXPECT_THROW((void)read_trace(ss), std::runtime_error);
+  const std::string path =
+      temp_file("nvmenc_not_a_trace.bin", "NOTATRACE-file-content");
+  EXPECT_THROW((void)read_trace(path), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsTruncatedBody) {
   std::vector<MemAccess> trace{{0x40, Op::kWrite, 1}, {0x80, Op::kRead, 0}};
-  std::stringstream ss;
-  write_trace(ss, trace);
-  std::string data = ss.str();
-  data.resize(data.size() - 5);
-  std::stringstream cut{data};
-  EXPECT_THROW((void)read_trace(cut), std::runtime_error);
+  const std::string path = corrupted_trace_file(
+      "nvmenc_truncated_body.bin", trace,
+      [](std::string& b) { b.resize(b.size() - 5); });
+  EXPECT_THROW((void)read_trace(path), std::runtime_error);
 }
 
 TEST(TraceIo, FileRoundTrip) {
@@ -94,9 +102,69 @@ TEST(TraceIo, MissingFileThrows) {
                std::runtime_error);
 }
 
+/// Little-endian field of `width` bytes at `offset` of a raw trace file.
+u64 load_le(const std::string& bytes, usize offset, usize width) {
+  u64 v = 0;
+  for (usize i = 0; i < width; ++i) {
+    v |= static_cast<u64>(static_cast<unsigned char>(bytes[offset + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return std::string{std::istreambuf_iterator<char>{in}, {}};
+}
+
+TEST(TraceIo, FileIsHeaderPlusFixedWidthRecords) {
+  // The on-disk layout of trace_io.hpp, field by field.
+  const std::string path = temp_path("nvmenc_layout.bin");
+  const std::vector<MemAccess> trace = small_trace();
+  write_trace(path, trace);
+  const std::string b = slurp(path);
+  ASSERT_EQ(b.size(), kTraceHeaderBytes + 3 * kTraceRecordBytes);
+  EXPECT_EQ(b.substr(0, 8), "NVMTRACE");
+  EXPECT_EQ(load_le(b, 8, 4), kTraceVersion);
+  EXPECT_EQ(load_le(b, 12, 4), kTraceRecordBytes);
+  EXPECT_EQ(load_le(b, 16, 8), 3u);
+  EXPECT_EQ(load_le(b, 24, 8), 0u);  // reserved
+  for (usize i = 0; i < 3; ++i) {
+    const usize rec = kTraceHeaderBytes + i * kTraceRecordBytes;
+    const MemAccess& want = trace[i];
+    EXPECT_EQ(load_le(b, rec, 8), want.addr) << "record " << i;
+    EXPECT_EQ(load_le(b, rec + 8, 8), want.value) << "record " << i;
+    EXPECT_EQ(load_le(b, rec + 16, 1), want.op == Op::kRead ? 0u : 1u)
+        << "record " << i;
+    EXPECT_EQ(load_le(b, rec + 17, 7), 0u) << "pad of record " << i;
+  }
+}
+
+TEST(TraceIo, WriteTraceTruncatesALongerFile) {
+  // Rewriting a path leaves no stale records of the longer trace behind.
+  const std::string path = temp_path("nvmenc_rewrite.bin");
+  std::vector<MemAccess> longer;
+  for (u64 i = 0; i < 100; ++i) longer.push_back({i * 64, Op::kWrite, i});
+  write_trace(path, longer);
+  write_trace(path, small_trace());
+  EXPECT_EQ(slurp(path).size(), kTraceHeaderBytes + 3 * kTraceRecordBytes);
+  EXPECT_EQ(read_trace(path), small_trace());
+}
+
+TEST(TraceIo, WriteFailureNamesTheFile) {
+  const std::string path = temp_path("nvmenc_no_such_dir/trace.bin");
+  try {
+    write_trace(path, small_trace());
+    FAIL() << "write_trace into a missing directory did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(path), std::string::npos)
+        << "diagnostic must name the file: " << e.what();
+  }
+}
+
 // ---- Corruption: every defect must fail with a clean diagnostic that
 // names the file, never crash, never return a silent partial read. Both
-// readers (eager read_trace and MappedTrace) are held to it.
+// entry points (eager read_trace and MappedTrace) are held to it.
 
 void expect_rejects(const std::string& path, const std::string& fragment) {
   for (const int reader : {0, 1}) {
@@ -160,6 +228,26 @@ TEST(TraceIoCorruption, CountBeyondFile) {
       "nvmenc_badcount.bin", small_trace(),
       [](std::string& b) { b[16] = 100; });  // claims 100 records, holds 3
   expect_rejects(path, "truncated");
+}
+
+TEST(TraceIoCorruption, CountThatWrapsTheSizeCheck) {
+  // 2^61 records of 24 bytes is 3 * 2^64 bytes, which wraps to 0: a size
+  // check that multiplies would accept the 104-byte file.
+  const std::string path = corrupted_trace_file(
+      "nvmenc_wrapcount.bin", small_trace(), [](std::string& b) {
+        b[16] = 0;
+        b[23] = 0x20;
+      });
+  expect_rejects(path, "truncated");
+}
+
+TEST(TraceIoCorruption, NotARegularFile) {
+  // Traces are mapped, so only regular files are traces; a directory is
+  // named as such rather than failing later inside mmap.
+  const std::string path = temp_path("nvmenc_trace_dir");
+  std::filesystem::create_directories(path);
+  expect_rejects(path, "not a regular file");
+  std::filesystem::remove(path);
 }
 
 // ---- MappedTrace ------------------------------------------------------
@@ -241,10 +329,6 @@ TEST(TraceWriter, MatchesVectorWriterByteForByte) {
     for (const MemAccess& acc : trace) writer.append(acc);
     writer.close();
   }
-  auto slurp = [](const std::string& p) {
-    std::ifstream in{p, std::ios::binary};
-    return std::string{std::istreambuf_iterator<char>{in}, {}};
-  };
   EXPECT_EQ(slurp(a), slurp(b));
 }
 

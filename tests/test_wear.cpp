@@ -175,19 +175,6 @@ TEST(RegionedLeveler, LevelsHotspotWithinRegion) {
   EXPECT_GT(wl.report().uniformity, 0.03);
 }
 
-TEST(LifetimeEstimate, LinearExtrapolation) {
-  IdealWearLeveler wl{10};
-  for (int i = 0; i < 100; ++i) wl.on_write(0, 10);
-  // max wear 100 after 100 writes -> 1 flip/write/slot; endurance 1e6 ->
-  // 1e6 writes.
-  EXPECT_NEAR(estimate_lifetime_writes(wl, 1'000'000, 100), 1e6, 1e-6 * 1e6);
-}
-
-TEST(LifetimeEstimate, ZeroWhenNothingObserved) {
-  IdealWearLeveler wl{10};
-  EXPECT_EQ(estimate_lifetime_writes(wl, 1000, 0), 0.0);
-}
-
 TEST(Lifetime, WearLevelingApproachesIdealUnderHotspot) {
   // The paper's Section 4.2.4 premise: deployed WL brings lifetime near
   // the flip-proportional ideal. Under 90%-hot traffic, no leveling pins
@@ -201,9 +188,6 @@ TEST(Lifetime, WearLevelingApproachesIdealUnderHotspot) {
   }
   const double uniformity = with_wl.report().uniformity;
   EXPECT_GT(uniformity, 0.25);  // >> 0.017 of no leveling
-  // And the lifetime estimate scales with uniformity.
-  const double lt = estimate_lifetime_writes(with_wl, 1'000'000'000, 300000);
-  EXPECT_GT(lt, 0.0);
 }
 
 }  // namespace

@@ -381,7 +381,7 @@ int cmd_perf(const Cli& cli) {
   table.add_row({"execution time (ms)",
                  TextTable::fmt(r.makespan_ns / 1e6, 2)});
   table.add_row({"avg read latency (ns)",
-                 TextTable::fmt(r.stats.read_latency_stat.mean(), 1)});
+                 TextTable::fmt(r.stats.read_latency_ns.mean(), 1)});
   table.add_row({"row hit rate", TextTable::fmt(r.timing.row_hit_rate(), 3)});
   table.add_row({"forwarded reads", std::to_string(r.stats.forwarded_reads)});
   table.add_row({"drain episodes", std::to_string(r.stats.drains)});
