@@ -117,7 +117,7 @@ struct CutOutcome {
 /// decode to a version from the history (old-or-new) every time.
 CutOutcome sweep_cuts(Scheme scheme, u64 samples) {
   ControllerConfig config;
-  config.verify.atomic_writes = true;
+  config.fault.atomic_writes = true;
   const u64 addr = 0x40;
   Xoshiro256 rng{0xBADC0FFEE ^ static_cast<u64>(scheme)};
   std::vector<CacheLine> versions;
@@ -472,10 +472,10 @@ void saturation(const Study& study, Claims& claims) {
       .field("read_fraction", load.read_fraction)
       .field("seed", load.seed)
       .field("channels", mem.org.channels)
-      .field("banks_per_channel", mem.org.ranks * mem.org.banks)
-      .field("write_queue_capacity", mem.write_queue_capacity)
-      .field("high_watermark", mem.high_watermark)
-      .field("low_watermark", mem.low_watermark)
+      .field("banks_per_channel", kBanks)
+      .field("write_queue_capacity", kWriteQueueCapacity)
+      .field("high_watermark", kHighWatermark)
+      .field("low_watermark", kLowWatermark)
       .field("energy_profile", energy_profile)
       .array("think_points_ns");
   for (const double t : thinks) json.item(t);

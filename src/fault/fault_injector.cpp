@@ -1,9 +1,19 @@
 #include "fault/fault_injector.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 
 namespace nvmenc {
+
+void check_retry_limit(usize retry_limit) {
+  if (retry_limit <= kMaxRetryLimit) return;
+  throw std::invalid_argument{
+      "retry limit " + std::to_string(retry_limit) + " exceeds the bound of " +
+      std::to_string(kMaxRetryLimit) + " re-pulses per write"};
+}
 
 FaultInjector::FaultInjector(FaultInjectorConfig config) : config_{config} {
   auto rate_ok = [](double r) { return r >= 0.0 && r <= 1.0; };

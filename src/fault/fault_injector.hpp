@@ -96,6 +96,16 @@ class FaultInjector {
   u64 hard_ = 0;
 };
 
+/// Longest program-and-verify pulse ladder. Re-pulse r costs 2^(r-1)
+/// pulses, so the 16th alone costs 32768; past 63 the pulse count no
+/// longer fits a 64-bit shift. FaultPlan (the controllers) and RasConfig
+/// (the memory system) are both held to it before any work runs.
+inline constexpr usize kMaxRetryLimit = 16;
+
+/// Throws std::invalid_argument naming `retry_limit` and kMaxRetryLimit
+/// when the ladder is longer than the bound.
+void check_retry_limit(usize retry_limit);
+
 /// Full resilience configuration of one replay: the injected fault rates
 /// plus the controller's response policy. Everything off (the default)
 /// keeps the exact legacy write path, bit-identical stats included.
@@ -111,14 +121,16 @@ struct FaultPlan {
   /// (the verify reads are then the only overhead) and differential tests.
   bool force_verify = false;
   /// Power-failure atomicity: run every write-back through the redo-log
-  /// commit protocol (VerifyConfig::atomic_writes) so a power cut at any
-  /// pulse boundary recovers to the full old or full new line image.
+  /// commit protocol (log image -> commit record -> home line -> clear,
+  /// priced per write) so a power cut at any pulse boundary recovers to
+  /// the full old or full new line image.
   bool atomic_writes = false;
 
   /// Resilience machinery active? Off => controllers take the legacy path.
   [[nodiscard]] bool active() const noexcept {
     return inject.any() || protect_meta || force_verify || atomic_writes;
   }
+  void validate() const { check_retry_limit(retry_limit); }
 };
 
 }  // namespace nvmenc

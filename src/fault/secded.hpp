@@ -7,10 +7,9 @@
 // classic (72,64) extended Hamming code stores 8 check bits per 64-bit
 // chunk of metadata, corrects any single flipped cell (payload or check)
 // and detects any double flip. The controller appends the check cells to
-// the stored metadata region when ControllerConfig::verify.protect_meta is
-// on, so the scheme comparison can price protection: extra sensed bits per
-// read, extra check-cell flips per write, both reported in
-// ControllerStats.
+// the stored metadata region when FaultPlan::protect_meta is on, so the
+// scheme comparison can price protection: extra sensed bits per read,
+// extra check-cell flips per write, both reported in ControllerStats.
 #pragma once
 
 #include "common/bit_buf.hpp"

@@ -1,7 +1,6 @@
 #include "memsys/aging.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -33,14 +32,6 @@ const char* aging_until_name(AgingUntil until) {
       return "floor";
   }
   return "?";
-}
-
-AgingUntil aging_until_by_name(const std::string& name) {
-  if (name == "retirement") return AgingUntil::kRetirement;
-  if (name == "trip") return AgingUntil::kTrip;
-  if (name == "floor") return AgingUntil::kFloor;
-  throw std::invalid_argument{"unknown --until '" + name +
-                              "' (retirement|trip|floor)"};
 }
 
 void AgingConfig::validate() const {

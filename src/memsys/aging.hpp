@@ -23,7 +23,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "memsys/loadgen.hpp"
@@ -46,8 +45,6 @@ enum class AgingStop : u8 {
 enum class AgingUntil : u8 { kRetirement = 0, kTrip = 1, kFloor = 2 };
 
 [[nodiscard]] const char* aging_until_name(AgingUntil until);
-/// Parses "retirement" | "trip" | "floor"; throws std::invalid_argument.
-[[nodiscard]] AgingUntil aging_until_by_name(const std::string& name);
 
 struct AgingConfig {
   double inter_arrival_ns = 10.0;  ///< open-loop arrival spacing

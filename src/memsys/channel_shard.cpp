@@ -22,19 +22,11 @@ constexpr usize kCompletionReserve = 1024;
 
 ChannelShard::ChannelShard(const MemSysConfig& config, usize channel)
     : channel_{channel},
-      write_queue_capacity_{config.write_queue_capacity},
-      high_watermark_{config.high_watermark},
-      low_watermark_{config.low_watermark},
-      t_cmd_ns_{config.t_cmd_ns},
-      forward_ns_{config.forward_ns},
-      starvation_cap_ns_{config.starvation_cap_ns},
-      opportunistic_writes_{config.opportunistic_writes},
       timing_{config.org},
-      bank_reads_(config.org.ranks * config.org.banks),
-      queued_lines_{config.write_queue_capacity} {
+      queued_lines_{kWriteQueueCapacity} {
   require(channel < config.org.channels, "shard channel out of range");
   reads_.reserve(kReadReserve);
-  writes_.reserve(write_queue_capacity_);
+  writes_.reserve(kWriteQueueCapacity);
   parked_.reserve(kParkedReserve);
   completions_.reserve(kCompletionReserve);
   if (config.ras.enabled()) {
@@ -63,7 +55,7 @@ void ChannelShard::accept_write(u64 ticket, u64 line_addr,
     writes_.push_back(
         {line_addr, accept_time, decompose(timing_.org(), line_addr)});
     queued_lines_.insert(line_addr);
-    if (!draining_ && writes_.size() >= high_watermark_) {
+    if (!draining_ && writes_.size() >= kHighWatermark) {
       draining_ = true;
       ++stats_.drains;
     }
@@ -130,10 +122,11 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
   if (kind == ReqKind::kRead) {
     ++stats_.reads;
     if (queued_lines_.contains(line_addr)) {
-      // Read-around-write: the line is still buffered on chip.
+      // Read-around-write: the line is still buffered on chip, and the
+      // data returns at the read's arrival.
       ++stats_.forwarded_reads;
-      stats_.read_latency_ns.add(forward_ns_);
-      push_completion({ticket, now_ns + forward_ns_, ReqKind::kRead, true});
+      stats_.read_latency_ns.add(0.0);
+      push_completion({ticket, now_ns, ReqKind::kRead, true});
     } else {
       const BankAddress where = decompose(timing_.org(), line_addr);
       reads_.push_back({ticket, line_addr, now_ns, where});
@@ -141,7 +134,7 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
     }
   } else {
     if (queued_lines_.contains(line_addr) ||
-        writes_.size() < write_queue_capacity_) {
+        writes_.size() < kWriteQueueCapacity) {
       accept_write(ticket, line_addr, now_ns);
     } else {
       // Queue full: the write (and the CPU behind it) stalls until a
@@ -165,13 +158,12 @@ void ChannelShard::charge_wl_migrations(double now_ns) {
   // One migration = read the source, write the destination: the copy
   // holds the destination's bank, then any escalation of the worn
   // destination holds it longer.
-  const MemOrg& org = timing_.org();
-  const double copy = org.t_read_ns + org.t_write_ns;
+  constexpr double kCopyNs = kReadNs + kWriteNs;
   for (const u64 dest : wl_->migrated()) {
-    const usize bank = decompose(org, dest).bank;
-    timing_.occupy_bank(bank, now_ns, copy);
+    const usize bank = decompose(timing_.org(), dest).bank;
+    timing_.occupy_bank(bank, now_ns, kCopyNs);
     charge_ras(bank, now_ns,
-               ras_->on_migration_write(dest, now_ns, copy).bank_ns(org));
+               ras_->on_migration_write(dest, now_ns, kCopyNs).bank_ns());
   }
 }
 
@@ -240,7 +232,7 @@ void ChannelShard::arbitrate(double now) {
       issue_scrub(now);
     } else {
       // Unreachable by the wake contract; guarantee progress regardless.
-      slot_free_at_ = now + std::max(t_cmd_ns_, 1.0);
+      slot_free_at_ = now + kCmdNs;
     }
   }
   refresh_wake();
@@ -259,7 +251,7 @@ bool ChannelShard::issue_read(double now) {
     if (timing_.bank_free_at(r.where.bank) > now) continue;
     if (oldest == kNone) {
       oldest = i;
-      if (now - r.arrival > starvation_cap_ns_) break;
+      if (now - r.arrival > kStarvationCapNs) break;
     }
     if (timing_.row_open(r.where.bank, r.where.row)) {
       row_hit = i;
@@ -269,7 +261,7 @@ bool ChannelShard::issue_read(double now) {
   if (oldest == kNone) return false;
   usize pick = oldest;
   if (row_hit != kNone &&
-      now - reads_[oldest].arrival <= starvation_cap_ns_) {
+      now - reads_[oldest].arrival <= kStarvationCapNs) {
     pick = row_hit;  // FR-FCFS row-hit preference, age-capped
   }
   const PendingRead r = reads_[pick];
@@ -279,13 +271,12 @@ bool ChannelShard::issue_read(double now) {
   if (ras_) {
     // A SECDED double fault returns data only after the controller
     // rebuilds the line into a spare, so the UE lands in the read tail.
-    done += charge_ras(
-        r.where.bank, done,
-        ras_->on_demand_read(r.line_addr, now).bank_ns(timing_.org()));
+    done += charge_ras(r.where.bank, done,
+                       ras_->on_demand_read(r.line_addr, now).bank_ns());
   }
   stats_.read_latency_ns.add(done - r.arrival);
   push_completion({r.ticket, done, ReqKind::kRead, false});
-  slot_free_at_ = now + t_cmd_ns_;
+  slot_free_at_ = now + kCmdNs;
   return true;
 }
 
@@ -316,21 +307,20 @@ bool ChannelShard::issue_write(double now) {
     // Program-and-verify re-pulses and escalations (SAFER rewrite,
     // retirement copy) occupy the bank in virtual time, delaying later
     // row hits.
-    done += charge_ras(
-        w.where.bank, done,
-        ras_->on_array_write(w.line_addr, now).bank_ns(timing_.org()));
+    done += charge_ras(w.where.bank, done,
+                       ras_->on_array_write(w.line_addr, now).bank_ns());
   }
   stats_.last_completion_ns = std::max(stats_.last_completion_ns, done);
-  slot_free_at_ = now + t_cmd_ns_;
+  slot_free_at_ = now + kCmdNs;
   // The freed slot un-parks stalled writers (their CPUs resume now).
-  while (!parked_.empty() && writes_.size() < write_queue_capacity_) {
+  while (!parked_.empty() && writes_.size() < kWriteQueueCapacity) {
     const ParkedWrite p = parked_.front();
     parked_.pop_front();
     // The slot may free before the parked write even arrives (arbitration
     // can run ahead of arrivals the caller already submitted).
     accept_write(p.ticket, p.line_addr, std::max(now, p.arrival));
   }
-  if (draining_ && parked_.empty() && writes_.size() <= low_watermark_) {
+  if (draining_ && parked_.empty() && writes_.size() <= kLowWatermark) {
     draining_ = false;
   }
   return true;
@@ -342,8 +332,8 @@ void ChannelShard::issue_scrub(double now) {
   const double done = timing_.access(s.line_addr, MemOp::kRead, now);
   // Scrub-on-read repair work (write-back, escalation) occupies the bank.
   charge_ras(s.where.bank, done,
-             ras_->on_scrub_read(s.line_addr, now).bank_ns(timing_.org()));
-  slot_free_at_ = now + t_cmd_ns_;
+             ras_->on_scrub_read(s.line_addr, now).bank_ns());
+  slot_free_at_ = now + kCmdNs;
 }
 
 MemSysCompletion ChannelShard::pop_completion() {
@@ -372,10 +362,8 @@ std::optional<MemSysCompletion> ChannelShard::step_until(double t_ns) {
 }
 
 double ChannelShard::drain_all() {
-  set_flushing(true);
   while (step_until(kInf).has_value()) {
   }
-  set_flushing(false);
   return stats_.last_completion_ns;
 }
 

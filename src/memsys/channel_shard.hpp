@@ -23,6 +23,7 @@
 // operator new.
 #pragma once
 
+#include <array>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -83,8 +84,8 @@ class ChannelShard {
 
   /// Earliest time this shard could issue a command (+inf if nothing is
   /// pending or allowed). Kept as state: recomputed only by the calls
-  /// that can move it (a submit, an issued command, set_flushing), so a
-  /// query is a load.
+  /// that can move it (a submit, an issued command), so a query is a
+  /// load.
   [[nodiscard]] double wake() const noexcept { return wake_; }
   /// Issues the best eligible command at `now` (== wake()).
   void arbitrate(double now);
@@ -96,11 +97,6 @@ class ChannelShard {
     return completions_.top();
   }
   MemSysCompletion pop_completion();
-  /// drain_all-mode flag: writes may issue below the watermark.
-  void set_flushing(bool on) {
-    flushing_ = on;
-    refresh_wake();
-  }
 
   [[nodiscard]] const MemSysStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const TimingStats& timing_stats() const noexcept {
@@ -195,11 +191,10 @@ class ChannelShard {
   [[nodiscard]] bool drain_mode() const noexcept {
     return draining_ && !writes_.empty();
   }
-  /// Writes issue: in a drain, or opportunistically (or while flushing)
-  /// when no read is pending.
+  /// Writes issue: in a drain, or opportunistically when no read is
+  /// pending.
   [[nodiscard]] bool write_mode() const noexcept {
-    return drain_mode() || (reads_.empty() && !writes_.empty() &&
-                            (opportunistic_writes_ || flushing_));
+    return drain_mode() || (reads_.empty() && !writes_.empty());
   }
   /// Recomputes wake_, visiting each bank with a pending read once.
   void refresh_wake();
@@ -218,26 +213,18 @@ class ChannelShard {
   void push_completion(const MemSysCompletion& completion);
 
   usize channel_ = 0;
-  usize write_queue_capacity_ = 0;
-  usize high_watermark_ = 0;
-  usize low_watermark_ = 0;
-  double t_cmd_ns_ = 0.0;
-  double forward_ns_ = 0.0;
-  double starvation_cap_ns_ = 0.0;
-  bool opportunistic_writes_ = true;
   MemoryTimingModel timing_;  ///< this channel's banks and bus
 
   std::vector<PendingRead> reads_;   ///< arrival order; erase keeps it
-  std::vector<BankReads> bank_reads_;  ///< per bank of timing_
+  std::array<BankReads, kBanks> bank_reads_{};  ///< per bank of timing_
   usize read_banks_ = 0;             ///< banks with a pending read
   u64 wake_scan_ = 0;                ///< refresh_wake's scan counter
-  std::vector<QueuedWrite> writes_;  ///< bounded by write_queue_capacity
+  std::vector<QueuedWrite> writes_;  ///< bounded by kWriteQueueCapacity
   FlatSetU64 queued_lines_;          ///< forward/coalesce index
   RingBuffer<ParkedWrite> parked_;   ///< arrivals beyond capacity
   CompletionQueue completions_;
   MemSysStats stats_;
   bool draining_ = false;
-  bool flushing_ = false;
   double slot_free_at_ = 0.0;
   double wake_ = std::numeric_limits<double>::infinity();
   double last_arrival_ns_ = -std::numeric_limits<double>::infinity();

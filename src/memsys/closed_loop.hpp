@@ -10,10 +10,10 @@
 // completion re-arms its user at completion + think, which may precede
 // the current top. Users retire at their arrival once the request budget
 // is spent or the driver reports no request left. The run then drains at
-// once, without pumping to arrivals that can no longer issue: that pump
-// would run the arbiter past the last completion outside the flush, and
-// with opportunistic writes off a pending scrub would issue ahead of
-// queued writes the flush issues first.
+// once, without pumping to arrivals that can no longer issue: those
+// arrivals submit nothing, and splitting a pump never changes a shard
+// (DESIGN.md §10), so popping them would only spend heap operations and
+// think-time draws on the schedule drain_all issues anyway.
 //
 // The system is the router or one shard (both offer step_until and
 // drain_all with the same contract). The driver's callback draws and

@@ -19,14 +19,6 @@ const char* encode_model_name(EncodeLatencyModel model) {
   return "?";
 }
 
-EncodeLatencyModel encode_model_by_name(const std::string& name) {
-  if (name == "none") return EncodeLatencyModel::kNone;
-  if (name == "paper") return EncodeLatencyModel::kPaper;
-  if (name == "measured") return EncodeLatencyModel::kMeasured;
-  throw std::invalid_argument{"unknown encode latency model: " + name +
-                              " (expected none|paper|measured)"};
-}
-
 double paper_encode_ns(Scheme scheme) {
   switch (scheme) {
     case Scheme::kDcw:

@@ -36,9 +36,6 @@ namespace nvmenc {
 enum class EncodeLatencyModel : u8 { kNone = 0, kPaper = 1, kMeasured = 2 };
 
 [[nodiscard]] const char* encode_model_name(EncodeLatencyModel model);
-/// Parses "none" | "paper" | "measured"; throws std::invalid_argument.
-[[nodiscard]] EncodeLatencyModel encode_model_by_name(
-    const std::string& name);
 
 /// Hardware-estimate encode latency (ns). READ/READ+SAE/SAE: the paper's
 /// 3.47 ns synthesis result; FNW-family baselines: 1 ns (a compare/count

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -54,21 +53,12 @@ const char* wear_leveler_name(WearLevelerKind kind) {
   return "?";
 }
 
-WearLevelerKind wear_leveler_by_name(const std::string& name) {
-  if (name == "none") return WearLevelerKind::kNone;
-  if (name == "start-gap") return WearLevelerKind::kStartGap;
-  if (name == "security-refresh") return WearLevelerKind::kSecurityRefresh;
-  throw std::invalid_argument{"unknown wear leveler: " + name +
-                              " (none, start-gap, security-refresh)"};
-}
-
 void LifetimeConfig::validate() const {
   require(endurance_mean_flips >= 0.0, "endurance must be non-negative");
   require(endurance_sigma >= 0.0, "endurance sigma must be non-negative");
   require(wear_per_write_flips > 0.0, "wear per write must be positive");
   require(age_multiplier > 0.0, "age multiplier must be positive");
   require(retention_tau_ns >= 0.0, "retention tau must be non-negative");
-  require(safer_relief >= 0.0, "SAFER relief must be non-negative");
   if (leveler != WearLevelerKind::kNone) {
     require(wl_interval > 0, "wear-leveling interval must be positive");
     require(wl_region_lines >= 2, "wear-leveling region needs >= 2 lines");
@@ -168,7 +158,7 @@ bool LifetimeEngine::drift_on_read(u64 line, LineLife& life, double now_ns) {
 void LifetimeEngine::relieve(u64 line, LineLife& life) {
   track(line, life);
   if (std::isfinite(life.limit)) {
-    life.limit *= 1.0 + config_.safer_relief;
+    life.limit *= 1.0 + kSaferRelief;
   }
   ++stats_.wear_safer;
 }
@@ -185,8 +175,6 @@ WearLevelTranslator::WearLevelTranslator(const LifetimeConfig& config,
   config_.validate();
   require(config_.leveler != WearLevelerKind::kNone,
           "translator needs a leveler");
-  require(org_.row_bytes % kLineBytes == 0,
-          "row size must be a whole number of lines");
 }
 
 WearLeveler& WearLevelTranslator::region(u64 region_id) {

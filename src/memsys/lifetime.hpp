@@ -31,7 +31,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,9 +48,6 @@ enum class WearLevelerKind : u8 {
 };
 
 [[nodiscard]] const char* wear_leveler_name(WearLevelerKind kind);
-/// Parses "none" | "start-gap" | "security-refresh"; throws
-/// std::invalid_argument on anything else.
-[[nodiscard]] WearLevelerKind wear_leveler_by_name(const std::string& name);
 
 /// Wear charged to the destination of a leveler migration: a full-line
 /// differential write against unrelated old content flips half the cells
@@ -65,6 +61,13 @@ inline constexpr double kMigrationWearFlips =
 /// ((13.5 + 19.2) / 2 pJ * 256) — see nvm/energy_model.hpp defaults.
 inline constexpr double kMigrationEnergyPj = 4288.0;
 
+/// SAFER re-partition of a worn line extends its limit by this fraction
+/// (fresh cells absorb the hot positions).
+inline constexpr double kSaferRelief = 0.10;
+
+/// What a run chooses of the aging model: endurance, wear per write,
+/// acceleration, drift, the wear leveler and the seed (the SAFER relief
+/// is kSaferRelief).
 struct LifetimeConfig {
   /// Median per-line endurance in cell flips (0 = endurance off). The
   /// paper quotes 1e8..1e10 writes for PCM; at line granularity the knob
@@ -82,9 +85,6 @@ struct LifetimeConfig {
   /// Retention-drift time constant in virtual ns (0 = drift off): a read
   /// `dt` after the last write errors with p = 1 - exp(-dt*age/tau).
   double retention_tau_ns = 0.0;
-  /// SAFER re-partition of a worn line extends its limit by this fraction
-  /// (fresh cells absorb the hot positions).
-  double safer_relief = 0.10;
   /// Wear-leveling translation applied inside each shard.
   WearLevelerKind leveler = WearLevelerKind::kNone;
   /// Demand writes between leveler migration steps.
@@ -171,7 +171,7 @@ class LifetimeEngine {
   [[nodiscard]] bool drift_on_read(u64 line, LineLife& life, double now_ns);
 
   /// SAFER re-partition of a worn line: extends its limit by
-  /// safer_relief and counts the crossing as absorbed.
+  /// kSaferRelief and counts the crossing as absorbed.
   void relieve(u64 line, LineLife& life);
   /// A worn line was retired into the spare pool.
   void note_retired() noexcept { ++stats_.wear_retired; }
@@ -202,19 +202,19 @@ class LifetimeEngine {
 /// within-row line offset kept. Inverse of channel_local_line_addr.
 [[nodiscard]] inline u64 channel_local_line_index(const MemOrg& org,
                                                   u64 line_addr) noexcept {
-  const u64 lines_per_row = org.row_bytes / kLineBytes;
-  const u64 row_id = line_addr / org.row_bytes;
-  return (row_id / org.channels) * lines_per_row +
-         (line_addr % org.row_bytes) / kLineBytes;
+  constexpr u64 kLinesPerRow = kRowBytes / kLineBytes;
+  const u64 row_id = line_addr / kRowBytes;
+  return (row_id / org.channels) * kLinesPerRow +
+         (line_addr % kRowBytes) / kLineBytes;
 }
 
 /// Line-aligned byte address of channel-local line `index` on `channel`.
 [[nodiscard]] inline u64 channel_local_line_addr(const MemOrg& org,
                                                  usize channel,
                                                  u64 index) noexcept {
-  const u64 lines_per_row = org.row_bytes / kLineBytes;
-  const u64 row_id = (index / lines_per_row) * org.channels + channel;
-  return row_id * org.row_bytes + (index % lines_per_row) * kLineBytes;
+  constexpr u64 kLinesPerRow = kRowBytes / kLineBytes;
+  const u64 row_id = (index / kLinesPerRow) * org.channels + channel;
+  return row_id * kRowBytes + (index % kLinesPerRow) * kLineBytes;
 }
 
 /// Wear-leveling address translation for one channel: the channel-local

@@ -25,14 +25,6 @@ const char* load_pattern_name(LoadPattern pattern) {
   return "?";
 }
 
-LoadPattern load_pattern_by_name(const std::string& name) {
-  if (name == "uniform") return LoadPattern::kUniform;
-  if (name == "zipfian") return LoadPattern::kZipfian;
-  if (name == "diurnal") return LoadPattern::kDiurnal;
-  throw std::invalid_argument{"unknown load pattern: " + name +
-                              " (expected uniform|zipfian|diurnal)"};
-}
-
 void LoadGenConfig::validate() const {
   require(users >= 1, "load needs at least one user");
   require(requests >= 1, "load needs at least one request");
@@ -42,9 +34,6 @@ void LoadGenConfig::validate() const {
           "read fraction must be in [0, 1]");
   require(zipf_theta > 0.0 && zipf_theta < 1.0,
           "zipf theta must be in (0, 1)");
-  require(diurnal_phases >= 1, "diurnal needs at least one phase");
-  require(diurnal_shift >= 0.0 && diurnal_shift <= 1.0,
-          "diurnal shift must be in [0, 1]");
 }
 
 ZipfianSampler::ZipfianSampler(u64 n, double theta)
@@ -75,7 +64,7 @@ u64 ZipfianSampler::sample(Xoshiro256& rng) const noexcept {
 AddressSampler::AddressSampler(const LoadGenConfig& config)
     : config_{config},
       zipf_{config.footprint_lines, config.zipf_theta},
-      phase_len_{config.requests / config.diurnal_phases + 1} {
+      phase_len_{config.requests / kDiurnalPhases + 1} {
   config_.validate();
 }
 
@@ -88,11 +77,11 @@ u64 AddressSampler::draw(Xoshiro256& rng, u64 issued_index) const {
   SplitMix64 sm{rank ^ (config_.seed * 0x9e3779b97f4a7c15ull)};
   const u64 scrambled = sm.next() % config_.footprint_lines;
   if (config_.pattern == LoadPattern::kZipfian) return scrambled;
-  // Diurnal: the whole popularity map rotates by `diurnal_shift` of the
+  // Diurnal: the whole popularity map rotates by kDiurnalShift of the
   // footprint each phase, moving the hot set into previously cold lines.
   const u64 phase = issued_index / phase_len_;
   const u64 offset = static_cast<u64>(
-      config_.diurnal_shift * static_cast<double>(config_.footprint_lines));
+      kDiurnalShift * static_cast<double>(config_.footprint_lines));
   return (scrambled + phase * offset) % config_.footprint_lines;
 }
 

@@ -21,7 +21,6 @@
 // and how a user's next request is drawn and submitted.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -33,14 +32,17 @@ namespace nvmenc {
 enum class LoadPattern : u8 { kUniform = 0, kZipfian = 1, kDiurnal = 2 };
 
 [[nodiscard]] const char* load_pattern_name(LoadPattern pattern);
-/// Parses "uniform" | "zipfian" | "diurnal"; throws std::invalid_argument.
-[[nodiscard]] LoadPattern load_pattern_by_name(const std::string& name);
 
+/// Diurnal load: the run splits into kDiurnalPhases phases, and each phase
+/// moves the hot set by kDiurnalShift of the footprint.
+inline constexpr usize kDiurnalPhases = 4;
+inline constexpr double kDiurnalShift = 0.25;
+
+/// One closed-loop load: pattern, population, think time, read mix,
+/// request budget, footprint and seed (the diurnal shape is constant).
 struct LoadGenConfig {
   LoadPattern pattern = LoadPattern::kZipfian;
   double zipf_theta = 0.99;   ///< skew; must be in (0, 1)
-  usize diurnal_phases = 4;   ///< hot-set shifts over the run
-  double diurnal_shift = 0.25;  ///< fraction of footprint the hot set moves
   usize users = 32;           ///< closed-loop population (outstanding <= users)
   double think_ns = 200.0;    ///< mean exponential think time per user
   double read_fraction = 0.7;

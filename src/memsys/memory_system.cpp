@@ -14,12 +14,6 @@ constexpr usize kNone = ~usize{0};
 
 void MemSysConfig::validate() const {
   org.validate();
-  require(write_queue_capacity >= 1, "write queue must hold something");
-  require(high_watermark <= write_queue_capacity &&
-              low_watermark < high_watermark,
-          "watermarks must satisfy low < high <= capacity");
-  require(t_cmd_ns >= 0.0 && forward_ns >= 0.0 && starvation_cap_ns >= 0.0,
-          "memory-system times must be non-negative");
   ras.validate();
   require(ras.kill_channel < static_cast<int>(org.channels),
           "kill channel out of range");
@@ -103,12 +97,10 @@ std::optional<MemSysCompletion> MemorySystem::step_until(double t_ns) {
 }
 
 double MemorySystem::drain_all() {
-  for (ChannelShard& shard : shards_) shard.set_flushing(true);
   while (step_until(kInf).has_value()) {
   }
   double last = 0.0;
-  for (ChannelShard& shard : shards_) {
-    shard.set_flushing(false);
+  for (const ChannelShard& shard : shards_) {
     last = std::max(last, shard.stats().last_completion_ns);
   }
   return last;

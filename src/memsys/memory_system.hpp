@@ -9,13 +9,14 @@
 //   * among eligible requests (arrived, target bank free) the arbiter
 //     prefers row-buffer hits, falling back to oldest-first, with an age
 //     cap so row hits cannot starve an old request;
-//   * writes are posted into a bounded per-channel write queue; when the
-//     queue crosses the high watermark the channel drains writes — reads
-//     stall behind the drain until the queue falls to the low watermark
-//     (the classic write-induced read-latency spike the paper's §3.4.2
-//     "encode latency is negligible" claim must survive);
-//   * a read to a queued write's line is forwarded from the queue;
-//     a re-write of a queued line coalesces;
+//   * writes are posted into a bounded per-channel write queue and issue
+//     whenever the channel has no pending read; when the queue crosses
+//     the high watermark the channel drains writes — reads stall behind
+//     the drain until the queue falls to the low watermark (the classic
+//     write-induced read-latency spike the paper's §3.4.2 "encode latency
+//     is negligible" claim must survive);
+//   * a read to a queued write's line is forwarded from the queue at its
+//     arrival; a re-write of a queued line coalesces;
 //   * a write arriving at a full queue is parked: its acceptance (and the
 //     issuing CPU) stalls until a drain frees a slot — write backpressure.
 //
@@ -45,18 +46,26 @@
 
 namespace nvmenc {
 
+/// The scheduler policy of every channel. Reads forward from a queued
+/// write at their arrival, and buffered writes issue whenever a channel
+/// has no pending read, so queues stay shallow at low load.
+inline constexpr usize kWriteQueueCapacity = 64;  ///< per channel
+inline constexpr usize kHighWatermark = 48;  ///< enter drain mode at this depth
+inline constexpr usize kLowWatermark = 16;   ///< leave drain mode at this depth
+static_assert(kLowWatermark < kHighWatermark &&
+                  kHighWatermark <= kWriteQueueCapacity,
+              "watermarks must satisfy low < high <= capacity");
+/// Per-command issue occupancy of a channel.
+inline constexpr double kCmdNs = 4.0;
+/// A read older than this always beats younger row hits (anti-starvation).
+inline constexpr double kStarvationCapNs = 2000.0;
+
+/// What varies between memory-system runs: the channel count and the
+/// scheme's encode latency (MemOrg) and the RAS layer. The geometry and
+/// Table 2 timings (nvm/timing.hpp) and the scheduler policy above are
+/// the same in every run.
 struct MemSysConfig {
-  MemOrg org;                        ///< channels > 1 is the point
-  usize write_queue_capacity = 64;   ///< per channel
-  usize high_watermark = 48;         ///< enter drain mode at this depth
-  usize low_watermark = 16;          ///< leave drain mode at this depth
-  double t_cmd_ns = 4.0;    ///< per-command issue occupancy of a channel
-  double forward_ns = 0.0;  ///< read-around-write forward latency
-  /// A read older than this always beats younger row hits (anti-starvation).
-  double starvation_cap_ns = 2000.0;
-  /// Issue buffered writes when a channel has no pending reads, keeping
-  /// queues shallow at low load instead of waiting for the watermark.
-  bool opportunistic_writes = true;
+  MemOrg org;  ///< channels > 1 is the point
   /// RAS layer: faulty-media write path, background scrub, graceful
   /// channel degradation (memsys/ras.hpp). Disabled by default — the
   /// fault-free path is byte-identical to earlier revisions.
@@ -85,9 +94,9 @@ class MemorySystem {
   /// event the caller knows about.
   std::optional<MemSysCompletion> step_until(double t_ns);
 
-  /// Flushes all pending work (ignoring watermarks once reads are done)
-  /// and discards the remaining completions; returns the time the last
-  /// one finished (or the last recorded completion when already idle).
+  /// Flushes all pending work and discards the remaining completions;
+  /// returns the time the last one finished (or the last recorded
+  /// completion when already idle).
   double drain_all();
 
   /// Front-end statistics merged across shards in channel-id order.

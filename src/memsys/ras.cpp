@@ -33,10 +33,10 @@ void RasConfig::validate() const {
   require(rate_ok(inject.write_fail_rate) &&
               rate_ok(inject.read_disturb_rate) && rate_ok(inject.stuck_rate),
           "fault rates must be probabilities in [0, 1]");
+  check_retry_limit(retry_limit);
   require(scrub_interval_ns >= 0.0, "scrub interval must be non-negative");
   require(degrade_ue_threshold >= 1,
           "degrade threshold must be at least one uncorrectable error");
-  require(remap_queue_capacity >= 1, "remap queue must hold something");
   require(kill_at_ns >= 0.0, "kill time must be non-negative");
   lifetime.validate();
 }
@@ -114,13 +114,14 @@ u64 ras_remap_line(const MemOrg& org, u64 addr,
   return addr;  // unreachable
 }
 
-double FaultDomain::Outcome::bank_ns(const MemOrg& org) const noexcept {
-  const double tw = org.t_write_ns;
+double FaultDomain::Outcome::bank_ns() const noexcept {
   double ns = 0.0;
-  if (retries > 0) ns += tw * static_cast<double>((u64{1} << retries) - 1);
-  if (corrected) ns += tw;
-  if (remapped) ns += tw;
-  if (retired) ns += org.t_read_ns + tw;
+  if (retries > 0) {
+    ns += kWriteNs * static_cast<double>((u64{1} << retries) - 1);
+  }
+  if (corrected) ns += kWriteNs;
+  if (remapped) ns += kWriteNs;
+  if (retired) ns += kReadNs + kWriteNs;
   return ns;
 }
 
@@ -181,7 +182,7 @@ void FaultDomain::escalate(u64 line, LineState& st, double flips,
   // too but are already priced in the pulse ladder).
   if (life_) out.worn = life_->on_write(line, life_of(st), flips, now_ns);
   if (!faulted && !out.worn) return;
-  if (st.remaps < config_.safer_remap_limit) {
+  if (st.remaps < kSaferRemapLimit) {
     st.remaps = static_cast<u8>(st.remaps + 1);
     ++stats_.safer_remaps;
     out.remapped = true;
@@ -326,7 +327,7 @@ double FaultDomain::on_remap_in(double now_ns) {
   const double drained = (now_ns - remap_last_ns_) / kRemapDrainNs;
   remap_depth_ = std::max(0.0, remap_depth_ - drained) + 1.0;
   remap_last_ns_ = now_ns;
-  const double cap = static_cast<double>(config_.remap_queue_capacity);
+  constexpr double cap = static_cast<double>(kRemapQueueCapacity);
   if (remap_depth_ <= cap) return 0.0;
   ++stats_.remap_backoff;
   // Congestion backoff: the charge doubles with each slot of overflow,

@@ -39,22 +39,27 @@ namespace nvmenc {
 
 /// Stuck cells a line tolerates before escalating to SAFER.
 inline constexpr usize kStuckCellBudget = 2;
-/// Remapping queue: a slot drains per kRemapDrainNs of virtual time; the
-/// first overflowing arrival pays kRemapPenaltyNs, doubling per slot over.
+/// SAFER re-partitions a line may consume before it is retired.
+inline constexpr usize kSaferRemapLimit = 2;
+/// Bounded remapping queue absorbed by each surviving channel: a slot
+/// drains per kRemapDrainNs of virtual time; the first arrival beyond
+/// kRemapQueueCapacity pays kRemapPenaltyNs, doubling per slot over.
+inline constexpr usize kRemapQueueCapacity = 32;
 inline constexpr double kRemapDrainNs = 100.0;
 inline constexpr double kRemapPenaltyNs = 250.0;
 
+/// What a run chooses of the RAS layer: fault rates, the pulse ladder,
+/// spares, scrub, the degrade threshold, a scripted kill and aging. The
+/// SAFER limit and the remap queue are the constants above.
 struct RasConfig {
   /// Fault rates and seed, reusing the controller-path injector config:
   /// write_fail_rate is per array-write line pulse, read_disturb_rate per
   /// array read, stuck_rate per array write (a cell welds shut).
   FaultInjectorConfig inject;
   /// Program-and-verify pulse ladder: a failed write is re-pulsed up to
-  /// this many times (each re-pulse exponentially longer) before the
-  /// write escalates to SAFER re-partition.
+  /// this many times (each re-pulse exponentially longer, at most
+  /// kMaxRetryLimit) before the write escalates to SAFER re-partition.
   usize retry_limit = 3;
-  /// SAFER re-partitions a line may consume before it is retired.
-  usize safer_remap_limit = 2;
   /// Per-channel spare pool; retirement consumes one spare line.
   /// Exhaustion trips the channel into degraded mode.
   usize spare_lines = 64;
@@ -64,10 +69,6 @@ struct RasConfig {
   double scrub_interval_ns = 0.0;
   /// Uncorrectable errors (SECDED double faults) that trip a channel.
   usize degrade_ue_threshold = 4;
-  /// Bounded remapping queue absorbed by each surviving channel: slots
-  /// drain one per kRemapDrainNs of virtual time; arrivals beyond the
-  /// capacity pay an exponentially growing congestion-backoff charge.
-  usize remap_queue_capacity = 32;
   /// Scripted media failure (tests / the kill-one-channel-mid-replay
   /// scenario): channel `kill_channel` trips at `kill_at_ns` of virtual
   /// time. -1 = no scripted kill.
@@ -197,7 +198,7 @@ class FaultDomain {
     /// (re-pulse r costs 2^(r-1) array writes), the scrub write-back and
     /// the SAFER rewrite (one write each), then the retirement copy or
     /// UE rebuild (read + write).
-    [[nodiscard]] double bank_ns(const MemOrg& org) const noexcept;
+    [[nodiscard]] double bank_ns() const noexcept;
   };
 
   Outcome on_array_write(u64 line, double now_ns);

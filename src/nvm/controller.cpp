@@ -117,16 +117,19 @@ MemoryController::MemoryController(ControllerConfig config, EncoderPtr encoder,
       encoder_{std::move(encoder)},
       device_{&device},
       fault_{fault},
-      resilient_{config.verify.active()} {
+      resilient_{config.fault.active()},
+      // Atomicity alone does not imply verify reads: an atomic-only plan
+      // runs the plain differential store inside the commit protocol.
+      program_and_verify_{config.fault.inject.any() ||
+                          config.fault.protect_meta ||
+                          config.fault.force_verify} {
   require(encoder_ != nullptr, "controller needs an encoder");
-  require(config_.verify.retry_limit <= 16,
-          "retry_limit > 16: the exponential pulse escalation is meaningless"
-          " past 2^16x");
+  config_.fault.validate();
   if (resilient_ && fault_ == nullptr) {
     owned_fault_ = std::make_unique<FaultContext>(device);
     fault_ = owned_fault_.get();
   }
-  if (config_.verify.protect_meta) {
+  if (config_.fault.protect_meta) {
     sensed_bits_ = kLineBits + secded_check_bits(encoder_->meta_bits());
   }
 }
@@ -188,7 +191,7 @@ void MemoryController::write_line(u64 line_addr, const CacheLine& data) {
   StoredLine image = stored;
   usize check_sets = 0;
   usize check_resets = 0;
-  if (config_.verify.protect_meta) {
+  if (config_.fault.protect_meta) {
     image.meta = secded_protect(stored.meta);
     for (usize i = encoder_->meta_bits(); i < image.meta.size(); ++i) {
       const bool now = image.meta.bit(i);
@@ -207,7 +210,7 @@ void MemoryController::write_line(u64 line_addr, const CacheLine& data) {
                           config_.charge_encode_logic && dirty_words > 0);
 
   const usize device_flips = fb.total() + check_sets + check_resets;
-  if (config_.verify.atomic_writes) {
+  if (config_.fault.atomic_writes) {
     // Commit protocol phases 1+2: persist the raw image the home store
     // should leave behind (SAFER inversions included), then the commit
     // record. The record names the *logical* line so a recovery that runs
@@ -215,14 +218,14 @@ void MemoryController::write_line(u64 line_addr, const CacheLine& data) {
     // lives now.
     log_begin(line_addr, expected_raw(phys, image));
   }
-  if (config_.verify.program_and_verify) {
+  if (program_and_verify_) {
     store_verified(phys, line_addr, image, device_flips);
   } else if (!fault_->safer.store(phys, image, device_flips)) {
     retire(line_addr, image);
   }
   // Phase 4: the home image (wherever it ended up) is durable; retire the
   // commit record so recovery no longer replays this write.
-  if (config_.verify.atomic_writes) log_clear();
+  if (config_.fault.atomic_writes) log_clear();
 }
 
 u64 MemoryController::resolve(u64 line_addr) const {
@@ -235,7 +238,7 @@ StoredLine MemoryController::decode_raw(u64 phys, const StoredLine& raw) {
   StoredLine stored;
   stored.data = fault_->safer.strip(phys, raw.data);
   const usize payload = encoder_->meta_bits();
-  if (config_.verify.protect_meta && payload > 0 &&
+  if (config_.fault.protect_meta && payload > 0 &&
       raw.meta.size() == payload + secded_check_bits(payload)) {
     SecdedMetaDecode decoded = secded_unprotect(raw.meta, payload);
     stats_.resilience.meta_corrected += decoded.corrected;
@@ -273,7 +276,7 @@ void MemoryController::store_verified(u64 phys, u64 logical,
     stats_.energy.add_read(config_.energy, sensed_bits_);
     const CellDiff diff = diff_cells(expected, readback);
     if (diff.clean()) return;
-    if (attempt >= config_.verify.retry_limit) {
+    if (attempt >= config_.fault.retry_limit) {
       escalate(phys, logical, image, readback);
       return;
     }
@@ -352,7 +355,7 @@ void MemoryController::recover() {
   // the logged image marks a committed write whose home store may be torn.
   std::optional<u64> pending_phys;
   StoredLine pending_image;
-  if (config_.verify.atomic_writes) {
+  if (config_.fault.atomic_writes) {
     const StoredLine rec = device_->load(kLogRecordAddr);
     stats_.energy.add_read(config_.energy, sensed_bits_);
     const CommitRecord record = parse_record(rec);
@@ -394,7 +397,7 @@ void MemoryController::recover() {
     // The pending roll-forward target is repaired wholesale below.
     if (pending_phys && addr == *pending_phys) continue;
 
-    if (config_.verify.protect_meta && payload > 0) {
+    if (config_.fault.protect_meta && payload > 0) {
       const StoredLine raw = device_->load(addr);
       stats_.energy.add_read(config_.energy, sensed_bits_);
       if (raw.meta.size() == payload + secded_check_bits(payload)) {
@@ -443,7 +446,7 @@ void MemoryController::recover() {
                             diff.resets, false);
     ++stats_.resilience.rolled_forward;
   }
-  if (config_.verify.atomic_writes) log_clear();
+  if (config_.fault.atomic_writes) log_clear();
 }
 
 void MemoryController::retire(u64 logical, const StoredLine& image) {

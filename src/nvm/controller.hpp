@@ -8,7 +8,7 @@
 // (Figure 10), and the dirty-word histogram / tag-utilization numbers
 // (Figure 2).
 //
-// When a resilience policy is configured (VerifyConfig), the write path
+// When a resilience policy is configured (a FaultPlan), the write path
 // becomes program-and-verify: store, read back, re-pulse the cells that
 // failed (bounded exponential escalation), then — for cells that never
 // land — escalate to a SAFER re-partition of the line and finally to
@@ -24,6 +24,7 @@
 #include "cache/hierarchy.hpp"
 #include "common/stats.hpp"
 #include "encoding/encoder.hpp"
+#include "fault/fault_injector.hpp"
 #include "nvm/device.hpp"
 #include "nvm/energy_model.hpp"
 #include "nvm/recovery.hpp"
@@ -42,38 +43,18 @@ inline constexpr u64 kLogRegionBase = u64{1} << 61;
 inline constexpr u64 kLogImageAddr = kLogRegionBase;
 inline constexpr u64 kLogRecordAddr = kLogRegionBase + kLineBytes;
 
-/// The controller's response policy to misbehaving cells.
-struct VerifyConfig {
-  /// Program-and-verify: read back every store and re-pulse failed cells.
-  bool program_and_verify = false;
-  /// Re-program attempts (with 2^i pulse-energy escalation) before the
-  /// write escalates to SAFER remap / retirement.
-  usize retry_limit = 3;
-  /// Protect the per-line metadata region with SECDED(72,64) check cells
-  /// (src/fault/secded.hpp): single meta-cell flips are corrected on read.
-  bool protect_meta = false;
-  /// Power-failure atomicity: every write-back runs the commit protocol
-  /// log-image -> commit-record -> home-line -> clear, so a power cut at
-  /// any pulse boundary recovers (via recover()) to the full old or full
-  /// new line image — never a hybrid. Costs one logged copy of the image
-  /// plus a commit record per write (priced into the energy ledger and
-  /// counted in ResilienceStats::atomic_log_flips).
-  bool atomic_writes = false;
-
-  [[nodiscard]] bool active() const noexcept {
-    return program_and_verify || protect_meta || atomic_writes;
-  }
-};
-
 struct ControllerConfig {
   EnergyParams energy;
   /// Charge the encoder-logic energy/latency per write. The paper accounts
   /// it for READ and READ+SAE only (Section 4.2.2).
   bool charge_encode_logic = false;
-  VerifyConfig verify;
+  /// The response policy to misbehaving cells: program-and-verify with its
+  /// retry ladder, SECDED metadata and atomic writes (FaultPlan). The
+  /// injected rates themselves act on the device, not here.
+  FaultPlan fault;
 };
 
-/// Counters of the resilience path (all zero when VerifyConfig is off).
+/// Counters of the resilience path (all zero when the plan is off).
 struct ResilienceStats {
   u64 verified_writes = 0;    ///< writes that ran the verify loop
   u64 write_retries = 0;      ///< re-program pulses issued
@@ -159,7 +140,7 @@ class MemoryController final : public LineBackend {
   ///     "corrected".
   ///
   /// Idempotent: a scan interrupted by another power cut can simply run
-  /// again. Requires an active VerifyConfig.
+  /// again. Requires an active FaultPlan.
   void recover();
 
   [[nodiscard]] const ControllerStats& stats() const noexcept {
@@ -210,6 +191,7 @@ class MemoryController final : public LineBackend {
   std::unique_ptr<FaultContext> owned_fault_;
   FaultContext* fault_ = nullptr;
   bool resilient_ = false;
+  bool program_and_verify_ = false;
   usize sensed_bits_ = kLineBits;
 };
 

@@ -5,11 +5,13 @@
 // Lee et al. [ISCA'09] (asymmetric SET/RESET, ~20 pJ per written cell as
 // the paper quotes); the encoder-logic energy and latency are the paper's
 // own synthesis results (Section 3.4.2: 81.65 pJ per encode, 3.47 ns at
-// 22nm, 171 K gates). Timing follows Table 2 (read 100 ns, write 150 ns).
+// 22nm, 171 K gates). Timing follows Table 2 (read 100 ns, write 150 ns),
+// the same constants the memory system's banks use (nvm/timing.hpp).
 #pragma once
 
 #include "common/types.hpp"
 #include "encoding/encoder.hpp"
+#include "nvm/timing.hpp"
 
 namespace nvmenc {
 
@@ -25,8 +27,8 @@ struct EnergyParams {
   /// (§3.4.2), so reads charge no logic energy.
   double encode_logic_pj = 81.65;
 
-  double read_latency_ns = 100.0;   ///< Table 2
-  double write_latency_ns = 150.0;  ///< Table 2
+  double read_latency_ns = kReadNs;    ///< Table 2
+  double write_latency_ns = kWriteNs;  ///< Table 2
   double encode_latency_ns = 3.47;  ///< paper §3.4.2, scaled to 22nm
 };
 

@@ -6,7 +6,6 @@ namespace nvmenc {
 
 MemoryTimingModel::MemoryTimingModel(MemOrg org) : org_{org} {
   org_.validate();
-  banks_.resize(org_.ranks * org_.banks);
 }
 
 void TimingStats::merge(const TimingStats& other) noexcept {
@@ -30,20 +29,20 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
     ++stats_.row_hits;
   } else {
     ++stats_.row_misses;
-    service += org_.t_row_cycle_ns;
+    service += kRowCycleNs;
     bank.open_row = where.row;
     bank.row_valid = true;
   }
   if (op == MemOp::kRead) {
-    service += org_.t_read_ns;
+    service += kReadNs;
   } else {
-    service += org_.encode_latency_ns + org_.t_write_ns;
+    service += org_.encode_latency_ns + kWriteNs;
   }
 
   // The line transfer needs the channel bus; serialize on it.
   const double array_done = start + service;
   const double bus_start = std::max(array_done, bus_free_at_);
-  const double completion = bus_start + org_.t_bus_ns;
+  const double completion = bus_start + kBusNs;
   bus_free_at_ = completion;
   bank.free_at = completion;
 
@@ -57,7 +56,7 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
 
 void MemoryTimingModel::occupy_bank(usize bank, double from_ns,
                                     double extra_ns) {
-  require(bank < banks_.size(), "bank index out of range");
+  require(bank < kBanks, "bank index out of range");
   BankState& state = banks_[bank];
   state.free_at = std::max(state.free_at, from_ns) + extra_ns;
 }

@@ -3,48 +3,52 @@
 // The paper's Table 2 gives array timings (read 100 ns, write 150 ns) and
 // Section 3.4.2 argues the 3.47 ns encode latency is negligible because
 // system performance is read-dominated. This model makes that claim
-// checkable: a channel/rank/bank decomposition with per-bank row buffers,
-// bank occupancy, and a shared data bus. One MemoryTimingModel is one
-// channel — its ranks*banks banks and its bus — owned by the ChannelShard
-// that arbitrates it (memsys/channel_shard.hpp), the way a real
-// controller keeps each channel's availability times to itself.
+// checkable: a channel/bank decomposition with per-bank row buffers, bank
+// occupancy, and a shared data bus. One MemoryTimingModel is one channel —
+// its kBanks banks and its bus — owned by the ChannelShard that arbitrates
+// it (memsys/channel_shard.hpp), the way a real controller keeps each
+// channel's availability times to itself. Every channel has the same
+// geometry and Table 2 timings, so they are constants; only the channel
+// count and the scheme's encode latency vary between runs (MemOrg).
 //
 // The model is deliberately event-light: one completion time per request,
 // no command-level DDR protocol — enough to expose queueing and row
 // locality, which is what the encode-latency question touches.
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace nvmenc {
 
+/// The geometry and array timings of every channel: eight banks with
+/// 4 KiB row buffers, and the paper's Table 2 array latencies.
+inline constexpr usize kBanks = 8;      ///< per channel
+inline constexpr u64 kRowBytes = 4096;  ///< row-buffer width
+inline constexpr double kReadNs = 100.0;     ///< array read, row open (Table 2)
+inline constexpr double kWriteNs = 150.0;    ///< array write, row open (Table 2)
+inline constexpr double kRowCycleNs = 60.0;  ///< precharge + activate on a miss
+inline constexpr double kBusNs = 8.0;        ///< line transfer on the channel bus
+static_assert(kRowBytes % kLineBytes == 0,
+              "a row must hold a whole number of lines");
+
+/// What varies between runs of that one geometry: the channel count, and
+/// the encode latency the scheme adds to each array write.
 struct MemOrg {
   usize channels = 1;
-  usize ranks = 1;
-  usize banks = 8;          ///< per rank
-  usize row_bytes = 4096;   ///< row-buffer width
-
-  double t_read_ns = 100.0;        ///< array read, row open (Table 2)
-  double t_write_ns = 150.0;       ///< array write, row open (Table 2)
-  double t_row_cycle_ns = 60.0;    ///< precharge + activate on a row miss
-  double t_bus_ns = 8.0;           ///< line transfer on the channel bus
   double encode_latency_ns = 0.0;  ///< added to writes (paper: 3.47)
 
   void validate() const {
-    require(channels >= 1 && ranks >= 1 && banks >= 1,
-            "memory organization must be non-empty");
-    require(row_bytes >= kLineBytes && row_bytes % kLineBytes == 0,
-            "row must hold a whole number of lines");
+    require(channels >= 1, "memory organization must be non-empty");
   }
 };
 
 /// Physical location of a line.
 struct BankAddress {
   usize channel = 0;
-  usize bank = 0;  ///< flattened rank*banks + bank
+  usize bank = 0;  ///< bank index within the channel
   u64 row = 0;
 };
 
@@ -52,18 +56,16 @@ struct BankAddress {
 /// separately so drivers can route requests without decomposing further.
 [[nodiscard]] inline usize channel_of_line(const MemOrg& org,
                                            u64 line_addr) noexcept {
-  return static_cast<usize>((line_addr / org.row_bytes) % org.channels);
+  return static_cast<usize>((line_addr / kRowBytes) % org.channels);
 }
 
 /// Line address -> channel/bank/row. Consecutive lines fill a row, rows
 /// interleave across channels then banks (row-interleaved mapping).
 [[nodiscard]] inline BankAddress decompose(const MemOrg& org,
                                            u64 line_addr) noexcept {
-  const u64 above_channel = line_addr / org.row_bytes / org.channels;
-  const usize banks_per_channel = org.ranks * org.banks;
+  const u64 above_channel = line_addr / kRowBytes / org.channels;
   return {channel_of_line(org, line_addr),
-          static_cast<usize>(above_channel % banks_per_channel),
-          above_channel / banks_per_channel};
+          static_cast<usize>(above_channel % kBanks), above_channel / kBanks};
 }
 
 /// Remaps a line address into `channel`'s row group, preserving the
@@ -73,9 +75,9 @@ struct BankAddress {
 /// redirect traffic off degraded channels (ras_remap_line).
 [[nodiscard]] inline u64 pin_line_to_channel(const MemOrg& org, u64 addr,
                                              usize channel) noexcept {
-  const u64 row_id = addr / org.row_bytes;
+  const u64 row_id = addr / kRowBytes;
   const u64 pinned_row = (row_id / org.channels) * org.channels + channel;
-  return pinned_row * org.row_bytes + addr % org.row_bytes;
+  return pinned_row * kRowBytes + addr % kRowBytes;
 }
 
 enum class MemOp : u8 { kRead, kWrite };
@@ -99,8 +101,8 @@ struct TimingStats {
   [[nodiscard]] bool operator==(const TimingStats&) const = default;
 };
 
-/// One channel's banks and bus. Bank indices are flattened rank*banks +
-/// bank, as in BankAddress::bank.
+/// One channel's kBanks banks and its bus. Bank indices are flattened as
+/// in BankAddress::bank.
 class MemoryTimingModel {
  public:
   explicit MemoryTimingModel(MemOrg org);
@@ -143,12 +145,12 @@ class MemoryTimingModel {
   // Inline with its two readers: the shard's arbiter asks for a bank's
   // state on every wake recomputation and every issue scan.
   [[nodiscard]] const BankState& bank_at(usize bank) const {
-    require(bank < banks_.size(), "bank index out of range");
+    require(bank < kBanks, "bank index out of range");
     return banks_[bank];
   }
 
   MemOrg org_;
-  std::vector<BankState> banks_;
+  std::array<BankState, kBanks> banks_{};
   double bus_free_at_ = 0.0;
   TimingStats stats_;
 };

@@ -50,6 +50,9 @@ ExperimentMatrix run_experiment(const std::vector<WorkloadProfile>& profiles,
                                 std::vector<Scheme> schemes,
                                 const ExperimentConfig& config,
                                 std::ostream* progress_stream) {
+  // A retry limit past kMaxRetryLimit fails here, before any cell
+  // collects.
+  config.fault.validate();
   const usize jobs = resolve_jobs(config.jobs);
   // A null stream makes the reporter silent.
   ProgressReporter progress{progress_stream, profiles.size()};

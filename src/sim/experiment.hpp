@@ -113,7 +113,8 @@ class ExperimentMatrix {
 /// Runs the full matrix on `config.jobs` workers (defined in
 /// src/runner/parallel_runner.cpp, which owns the thread pool; link
 /// nvmenc_runner or the nvmenc umbrella). `progress`, when non-null,
-/// receives one line per collected benchmark plus a closing summary.
+/// receives one line per collected benchmark plus a closing summary. A
+/// plan with a retry limit past kMaxRetryLimit throws before any cell runs.
 [[nodiscard]] ExperimentMatrix run_experiment(
     const std::vector<WorkloadProfile>& profiles, std::vector<Scheme> schemes,
     const ExperimentConfig& config, std::ostream* progress = nullptr);

@@ -141,13 +141,7 @@ ReplayResult replay_encoder(const WritebackTrace& trace, EncoderPtr encoder,
   ControllerConfig config;
   config.energy = energy;
   config.charge_encode_logic = charge_encode_logic;
-  // Atomicity alone does not imply verify reads: an atomic-only plan runs
-  // the plain differential store inside the commit protocol.
-  config.verify.program_and_verify =
-      fault.inject.any() || fault.protect_meta || fault.force_verify;
-  config.verify.retry_limit = fault.retry_limit;
-  config.verify.protect_meta = protect;
-  config.verify.atomic_writes = fault.atomic_writes;
+  config.fault = fault;
 
   // One controller spans both windows, so the SAFER encodings, the remap
   // table and the retired lines of its fault context (active exactly when

@@ -358,7 +358,7 @@ inline void LifetimeEngine::refresh(u64 line, double now_ns) {
 inline void LifetimeEngine::relieve(u64 line) {
   LineLife& life = touch(line);
   if (std::isfinite(life.limit)) {
-    life.limit *= 1.0 + config_.safer_relief;
+    life.limit *= 1.0 + kSaferRelief;
   }
   ++stats_.wear_safer;
 }
@@ -376,7 +376,7 @@ inline WearLevelTranslator::WearLevelTranslator(const LifetimeConfig& config,
   config_.validate();
   require(config_.leveler != WearLevelerKind::kNone,
           "translator needs a leveler");
-  require(org_.row_bytes % kLineBytes == 0,
+  require(kRowBytes % kLineBytes == 0,
           "row size must be a whole number of lines");
 }
 
@@ -548,7 +548,7 @@ inline FaultDomain::WriteOutcome FaultDomain::on_array_write(u64 line,
   // can mask, or an endurance crossing goes to SAFER re-partition; a line
   // out of SAFER budget is retired into the spare pool.
   if (out.exhausted || st.stuck > kStuckCellBudget || out.worn) {
-    if (st.remaps < config_.safer_remap_limit) {
+    if (st.remaps < kSaferRemapLimit) {
       st.remaps = static_cast<u8>(st.remaps + 1);
       ++stats_.safer_remaps;
       out.remapped = true;
@@ -569,7 +569,7 @@ inline FaultDomain::MigrateOutcome FaultDomain::escalate_worn(u64 line,
                                                               LineState& st,
                                                               double now_ns) {
   MigrateOutcome out;
-  if (st.remaps < config_.safer_remap_limit) {
+  if (st.remaps < kSaferRemapLimit) {
     st.remaps = static_cast<u8>(st.remaps + 1);
     ++stats_.safer_remaps;
     out.remapped = true;
@@ -693,7 +693,7 @@ inline double FaultDomain::on_remap_in(double now_ns) {
   const double drained = (now_ns - remap_last_ns_) / kRemapDrainNs;
   remap_depth_ = std::max(0.0, remap_depth_ - drained) + 1.0;
   remap_last_ns_ = now_ns;
-  const double cap = static_cast<double>(config_.remap_queue_capacity);
+  const double cap = static_cast<double>(kRemapQueueCapacity);
   if (remap_depth_ <= cap) return 0.0;
   ++stats_.remap_backoff;
   // Congestion backoff: the charge doubles with each slot of overflow,

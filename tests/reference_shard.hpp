@@ -31,15 +31,15 @@ class ReferenceShard {
  public:
   ReferenceShard(const MemSysConfig& config, usize channel)
       : channel_{channel},
-        write_queue_capacity_{config.write_queue_capacity},
-        high_watermark_{config.high_watermark},
-        low_watermark_{config.low_watermark},
-        t_cmd_ns_{config.t_cmd_ns},
-        forward_ns_{config.forward_ns},
-        starvation_cap_ns_{config.starvation_cap_ns},
-        opportunistic_writes_{config.opportunistic_writes},
+        write_queue_capacity_{kWriteQueueCapacity},
+        high_watermark_{kHighWatermark},
+        low_watermark_{kLowWatermark},
+        t_cmd_ns_{kCmdNs},
+        forward_ns_{0.0},
+        starvation_cap_ns_{kStarvationCapNs},
+        opportunistic_writes_{true},
         timing_{config.org},
-        queued_lines_{config.write_queue_capacity} {
+        queued_lines_{kWriteQueueCapacity} {
     require(channel < config.org.channels, "shard channel out of range");
     reads_.reserve(kReadReserve);
     writes_.reserve(write_queue_capacity_);
@@ -302,16 +302,16 @@ class ReferenceShard {
   void charge_wl_migrations(const std::vector<u64>& dests, double now_ns) {
     for (const u64 dest : dests) {
       const BankAddress where = decompose(timing_.org(), dest);
-      const double copy = timing_.org().t_read_ns + timing_.org().t_write_ns;
+      const double copy = kReadNs + kWriteNs;
       timing_.occupy_bank(where.bank, now_ns, copy);
       wl_busy_ns_ += copy;
       wl_energy_pj_ += kMigrationEnergyPj;
       const FaultDomain::MigrateOutcome out =
           ras_->on_migration_write(dest, now_ns);
       double extra = 0.0;
-      if (out.remapped) extra += timing_.org().t_write_ns;
+      if (out.remapped) extra += kWriteNs;
       if (out.retired) {
-        extra += timing_.org().t_read_ns + timing_.org().t_write_ns;
+        extra += kReadNs + kWriteNs;
       }
       if (extra > 0.0) {
         timing_.occupy_bank(where.bank, now_ns, extra);
@@ -346,8 +346,7 @@ class ReferenceShard {
       const FaultDomain::ReadOutcome out =
           ras_->on_demand_read(r.line_addr, now);
       if (out.uncorrectable) {
-        const double recovery =
-            timing_.org().t_read_ns + timing_.org().t_write_ns;
+        const double recovery = kReadNs + kWriteNs;
         timing_.occupy_bank(r.where.bank, done, recovery);
         ras_->add_busy(recovery);
         done += recovery;
@@ -384,13 +383,13 @@ class ReferenceShard {
     if (ras_) {
       const FaultDomain::WriteOutcome out =
           ras_->on_array_write(w.line_addr, now);
-      const double tw = timing_.org().t_write_ns;
+      const double tw = kWriteNs;
       double extra = 0.0;
       if (out.retries > 0) {
         extra += tw * static_cast<double>((u64{1} << out.retries) - 1);
       }
       if (out.remapped) extra += tw;
-      if (out.retired) extra += timing_.org().t_read_ns + tw;
+      if (out.retired) extra += kReadNs + tw;
       if (extra > 0.0) {
         timing_.occupy_bank(w.where.bank, done, extra);
         ras_->add_busy(extra);
@@ -418,11 +417,11 @@ class ReferenceShard {
     const FaultDomain::ScrubOutcome out =
         ras_->on_scrub_read(s.line_addr, now);
     double extra = 0.0;
-    if (out.corrected) extra += timing_.org().t_write_ns;
+    if (out.corrected) extra += kWriteNs;
     if (out.uncorrectable || out.retired_worn) {
-      extra += timing_.org().t_read_ns + timing_.org().t_write_ns;
+      extra += kReadNs + kWriteNs;
     }
-    if (out.remapped) extra += timing_.org().t_write_ns;
+    if (out.remapped) extra += kWriteNs;
     if (extra > 0.0) {
       timing_.occupy_bank(s.where.bank, done, extra);
       ras_->add_busy(extra);

@@ -27,8 +27,8 @@ TEST(FaultController, VerifyRepairsTransientWriteFaults) {
   NvmDevice device{NvmDeviceConfig{.injector = &injector},
                    dcw_initializer()};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
-  config.verify.retry_limit = 6;
+  config.fault.force_verify = true;
+  config.fault.retry_limit = 6;
   MemoryController ctrl{config, std::make_unique<DcwEncoder>(), device};
 
   Xoshiro256 rng{1};
@@ -54,8 +54,8 @@ TEST(FaultController, RetryEnergyEscalatesExponentially) {
   NvmDevice device{NvmDeviceConfig{.injector = &injector},
                    dcw_initializer()};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
-  config.verify.retry_limit = 8;
+  config.fault.force_verify = true;
+  config.fault.retry_limit = 8;
   MemoryController ctrl{config, std::make_unique<DcwEncoder>(), device};
 
   Xoshiro256 rng{2};
@@ -79,7 +79,7 @@ TEST(FaultController, StuckCellsEscalateToSaferRemap) {
   NvmDevice device{NvmDeviceConfig{.injector = &injector},
                    dcw_initializer()};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
+  config.fault.force_verify = true;
   MemoryController ctrl{config, std::make_unique<DcwEncoder>(), device};
 
   Xoshiro256 rng{3};
@@ -108,7 +108,7 @@ TEST(FaultController, UnrecoverablePatternRetiresToSpareLine) {
     fault.safer.report_fault(0x40, usize{1} << b, false);
   }
   ControllerConfig config;
-  config.verify.program_and_verify = true;
+  config.fault.force_verify = true;
   MemoryController ctrl{config, std::make_unique<DcwEncoder>(), device,
                         &fault};
 
@@ -140,8 +140,8 @@ TEST(FaultController, ProtectedMetadataCorrectsSingleCellFlips) {
                      return s;
                    }};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
-  config.verify.protect_meta = true;
+  config.fault.force_verify = true;
+  config.fault.protect_meta = true;
   MemoryController ctrl{config, make_encoder(Scheme::kFnw), device};
 
   Xoshiro256 rng{5};
@@ -228,8 +228,8 @@ TEST(FaultController, InactivePlanIsBitIdenticalAndVerifyOnlyAddsReads) {
 TEST(FaultController, RetryLimitValidated) {
   NvmDevice device{NvmDeviceConfig{}, dcw_initializer()};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
-  config.verify.retry_limit = 99;
+  config.fault.force_verify = true;
+  config.fault.retry_limit = 99;
   EXPECT_THROW(
       (MemoryController{config, std::make_unique<DcwEncoder>(), device}),
       std::invalid_argument);

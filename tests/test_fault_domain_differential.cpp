@@ -39,15 +39,6 @@ u64 fuzz_writes() {
   return 300;  // tier-1 budget; the CI long mode runs 20000
 }
 
-/// Array timings that are not whole numbers, so a bank-time sum taken in
-/// another order than the earlier shard's shows up in the last bit.
-MemOrg odd_timings() {
-  MemOrg org;
-  org.t_read_ns = 100.3;
-  org.t_write_ns = 150.7;
-  return org;
-}
-
 /// One named media configuration plus the op mix it is driven with.
 struct MediaCase {
   std::string name;
@@ -104,9 +95,7 @@ std::vector<MediaCase> cases() {
     MediaCase c{"endurance_with_relief", RasConfig{}};
     c.ras.lifetime.endurance_mean_flips = 400.0;
     c.ras.lifetime.wear_per_write_flips = 90.0;
-    c.ras.lifetime.safer_relief = 0.5;
     c.ras.lifetime.leveler = WearLevelerKind::kStartGap;
-    c.ras.safer_remap_limit = 3;
     c.ras.spare_lines = 1'000;
     c.lines = 96;
     c.migrate_share = 0.15;
@@ -120,10 +109,8 @@ std::vector<MediaCase> cases() {
     c.ras.inject.write_fail_rate = 0.05;
     c.ras.inject.read_disturb_rate = 0.05;
     c.ras.retry_limit = 1;
-    c.ras.safer_remap_limit = 1;
     c.ras.spare_lines = 1;
     c.ras.degrade_ue_threshold = 1'000'000;
-    c.ras.remap_queue_capacity = 1;
     c.remap_share = 0.2;
     c.gap_ns = 10.0;
     out.push_back(c);
@@ -154,7 +141,6 @@ std::vector<MediaCase> cases() {
     c.ras.inject.read_disturb_rate = 0.03;
     c.ras.spare_lines = 24;
     c.ras.degrade_ue_threshold = 12;
-    c.ras.remap_queue_capacity = 2;
     c.ras.lifetime.endurance_mean_flips = 900.0;
     c.ras.lifetime.wear_per_write_flips = 70.0;
     c.ras.lifetime.retention_tau_ns = 60'000.0;
@@ -174,32 +160,32 @@ std::vector<MediaCase> cases() {
 u64 line_addr(u64 i) { return i * kLineBytes + (i % 3 == 0 ? i % 5 : 0); }
 
 // Bank time the earlier shard charged for each outcome kind.
-double old_write_ns(const OldDomain::WriteOutcome& o, const MemOrg& org) {
-  const double tw = org.t_write_ns;
+double old_write_ns(const OldDomain::WriteOutcome& o) {
+  const double tw = kWriteNs;
   double extra = 0.0;
   if (o.retries > 0) {
     extra += tw * static_cast<double>((u64{1} << o.retries) - 1);
   }
   if (o.remapped) extra += tw;
-  if (o.retired) extra += org.t_read_ns + tw;
+  if (o.retired) extra += kReadNs + tw;
   return extra;
 }
-double old_migrate_ns(const OldDomain::MigrateOutcome& o, const MemOrg& org) {
+double old_migrate_ns(const OldDomain::MigrateOutcome& o) {
   double extra = 0.0;
-  if (o.remapped) extra += org.t_write_ns;
-  if (o.retired) extra += org.t_read_ns + org.t_write_ns;
+  if (o.remapped) extra += kWriteNs;
+  if (o.retired) extra += kReadNs + kWriteNs;
   return extra;
 }
-double old_read_ns(const OldDomain::ReadOutcome& o, const MemOrg& org) {
-  return o.uncorrectable ? org.t_read_ns + org.t_write_ns : 0.0;
+double old_read_ns(const OldDomain::ReadOutcome& o) {
+  return o.uncorrectable ? kReadNs + kWriteNs : 0.0;
 }
-double old_scrub_ns(const OldDomain::ScrubOutcome& o, const MemOrg& org) {
+double old_scrub_ns(const OldDomain::ScrubOutcome& o) {
   double extra = 0.0;
-  if (o.corrected) extra += org.t_write_ns;
+  if (o.corrected) extra += kWriteNs;
   if (o.uncorrectable || o.retired_worn) {
-    extra += org.t_read_ns + org.t_write_ns;
+    extra += kReadNs + kWriteNs;
   }
-  if (o.remapped) extra += org.t_write_ns;
+  if (o.remapped) extra += kWriteNs;
   return extra;
 }
 
@@ -221,8 +207,7 @@ struct Totals {
 /// Drives one case through both domains op for op.
 void run_case(const MediaCase& c, u64 seed, usize ops, SpareHits& spares,
               Totals& totals) {
-  const MemOrg org = odd_timings();
-  const double copy = org.t_read_ns + org.t_write_ns;
+  const double copy = kReadNs + kWriteNs;
   OldDomain old_domain{c.ras, kChannel};
   FaultDomain domain{c.ras, kChannel};
   ASSERT_EQ(old_domain.lifetime() == nullptr, domain.lifetime() == nullptr)
@@ -249,7 +234,7 @@ void run_case(const MediaCase& c, u64 seed, usize ops, SpareHits& spares,
       ASSERT_EQ(a.spare, b.spare) << at;
       ASSERT_EQ(a.worn, b.worn) << at;
       ASSERT_FALSE(b.disturbed || b.corrected || b.uncorrectable) << at;
-      ASSERT_EQ(old_write_ns(a, org), b.bank_ns(org)) << at;
+      ASSERT_EQ(old_write_ns(a), b.bank_ns()) << at;
       if (b.spare) ++spares.writes;
     } else if (u < (share += c.migrate_share)) {
       if (old_domain.lifetime() != nullptr) {
@@ -263,7 +248,7 @@ void run_case(const MediaCase& c, u64 seed, usize ops, SpareHits& spares,
       ASSERT_FALSE(b.retries != 0 || b.exhausted || b.disturbed ||
                    b.corrected || b.uncorrectable)
           << at;
-      ASSERT_EQ(old_migrate_ns(a, org), b.bank_ns(org)) << at;
+      ASSERT_EQ(old_migrate_ns(a), b.bank_ns()) << at;
       if (b.spare) ++spares.migrations;
     } else if (u < (share += c.scrub_share)) {
       // The scrub cursor's pick, or any line: a pending scrub may find
@@ -283,7 +268,7 @@ void run_case(const MediaCase& c, u64 seed, usize ops, SpareHits& spares,
       ASSERT_EQ(a.remapped, b.remapped) << at;
       ASSERT_EQ(a.retired_worn, b.retired && !b.uncorrectable) << at;
       ASSERT_FALSE(b.retries != 0 || b.exhausted) << at;
-      ASSERT_EQ(old_scrub_ns(a, org), b.bank_ns(org)) << at;
+      ASSERT_EQ(old_scrub_ns(a), b.bank_ns()) << at;
       if (b.spare) ++spares.scrubs;
     } else if (u < (share += c.remap_share)) {
       ASSERT_EQ(old_domain.on_remap_in(now), domain.on_remap_in(now)) << at;
@@ -299,7 +284,7 @@ void run_case(const MediaCase& c, u64 seed, usize ops, SpareHits& spares,
       ASSERT_FALSE(b.retries != 0 || b.exhausted || b.worn || b.corrected ||
                    b.remapped)
           << at;
-      ASSERT_EQ(old_read_ns(a, org), b.bank_ns(org)) << at;
+      ASSERT_EQ(old_read_ns(a), b.bank_ns()) << at;
       if (b.spare) ++spares.reads;
     }
     ASSERT_EQ(old_domain.stats(), domain.stats()) << at;

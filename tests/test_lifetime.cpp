@@ -138,14 +138,14 @@ TEST(LifetimeEngineTest, SaferReliefExtendsTheLimit) {
   LifetimeConfig cfg;
   cfg.endurance_mean_flips = 100.0;
   cfg.endurance_sigma = 0.0;
-  cfg.safer_relief = 0.5;
   LifetimeEngine engine{cfg, 0};
   LineLife life;
   EXPECT_TRUE(engine.on_write(3, life, 100.0, 1.0));
   engine.relieve(3, life);
-  EXPECT_DOUBLE_EQ(engine.limit_flips(3, life), 150.0);
-  EXPECT_FALSE(engine.on_write(3, life, 40.0, 2.0));  // 140 < 150
-  EXPECT_TRUE(engine.on_write(3, life, 40.0, 3.0));   // 180 >= 150
+  static_assert(kSaferRelief == 0.10);
+  EXPECT_DOUBLE_EQ(engine.limit_flips(3, life), 110.0);
+  EXPECT_FALSE(engine.on_write(3, life, 5.0, 2.0));   // 105 < 110
+  EXPECT_TRUE(engine.on_write(3, life, 10.0, 3.0));   // 115 >= 110
 }
 
 // ---------------------------------------------------------------------------
@@ -541,14 +541,6 @@ TEST(AgingConfigTest, ValidateRejectsNonsense) {
   bad = {};
   bad.capacity_floor = 1.5;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-}
-
-TEST(AgingConfigTest, UntilNamesRoundTrip) {
-  for (const AgingUntil u :
-       {AgingUntil::kRetirement, AgingUntil::kTrip, AgingUntil::kFloor}) {
-    EXPECT_EQ(aging_until_by_name(aging_until_name(u)), u);
-  }
-  EXPECT_THROW((void)aging_until_by_name("entropy"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

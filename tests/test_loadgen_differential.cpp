@@ -7,9 +7,8 @@
 // The grid crosses the uniform, zipfian and diurnal patterns with 1, 7
 // and 32 users, think times of 0 and 200 ns and 1, 2 and 4 channels, and
 // adds more users than requests, faults with scrub and a mid-run channel
-// kill, spare exhaustion, write bursts that park on a short queue,
-// Start-Gap aging, opportunistic writes off (with and without scrub),
-// small runs that end with a scrub and queued writes pending, and a case
+// kill, spare exhaustion, write bursts that fill the queue and park,
+// Start-Gap aging, small runs that end with a scrub pending, and a case
 // shaped like the memsys-closed-ras benchmark workload.
 // run_request_stream replays a recorded gcc stream and a seeded stream
 // over a few hot banks at encode latencies of 0, 3.47 and 50 ns, and an
@@ -112,7 +111,6 @@ std::vector<Case> grid() {
     c.mem.ras.inject.stuck_rate = 0.002;
     c.mem.ras.scrub_interval_ns = 1'500.0;
     c.mem.ras.kill_channel = 1;
-    c.mem.ras.remap_queue_capacity = 4;
     out.push_back(c);
   }
   {
@@ -150,42 +148,21 @@ std::vector<Case> grid() {
     out.push_back(c);
   }
   {
-    // Write bursts into a short queue: writers park on the full queue
-    // and block until a drain frees a slot.
+    // Write bursts: with no think time a user's writes arrive back to
+    // back, writers park on the full queue and block until a drain frees
+    // a slot.
     Case c{"write_bursts_park", base_load(special), {}};
     c.load.users = 32;
     c.load.think_ns = 0.0;
     c.load.read_fraction = 0.1;
     c.mem.org.channels = 2;
-    c.mem.write_queue_capacity = 8;
-    c.mem.high_watermark = 6;
-    c.mem.low_watermark = 2;
-    out.push_back(c);
-  }
-  for (const bool scrub : {false, true}) {
-    // Opportunistic writes off: writes issue only in drains and in the
-    // final flush, so the loop's end decides what issues when.
-    Case c{scrub ? "no_opportunistic_scrub" : "no_opportunistic",
-           base_load(special), {}};
-    c.load.users = 24;
-    c.load.think_ns = 100.0;
-    c.load.read_fraction = 0.4;
-    c.mem.org.channels = 2;
-    c.mem.opportunistic_writes = false;
-    if (scrub) {
-      c.mem.ras.inject.seed = 0x0FF;
-      c.mem.ras.inject.read_disturb_rate = 0.01;
-      c.mem.ras.scrub_interval_ns = 400.0;
-    }
     out.push_back(c);
   }
   for (const u64 seed : {u64{2}, u64{3}, u64{4}, u64{5}}) {
     for (const usize users : {usize{2}, usize{4}, usize{8}}) {
-      // The end of the run: opportunistic writes off, a short scrub
-      // interval and long think times leave a scrub and queued writes
-      // pending after the last completion while users are still due to
-      // arrive. The loop must drain without pumping to those arrivals
-      // first, or the scrub issues ahead of writes the flush would issue.
+      // The end of the run: a short scrub interval and long think times
+      // leave a scrub pending after the last completion while users are
+      // still due to arrive, and the loop drains at once.
       Case c{"run_end_s" + std::to_string(seed) + "_u" +
                  std::to_string(users),
              base_load(200 + seed), {}};
@@ -195,10 +172,6 @@ std::vector<Case> grid() {
       c.load.footprint_lines = 4'096;
       c.load.seed = seed;
       c.mem.org.channels = 2;
-      c.mem.opportunistic_writes = false;
-      c.mem.write_queue_capacity = 8;
-      c.mem.high_watermark = 6;
-      c.mem.low_watermark = 2;
       c.mem.ras.inject.seed = seed;
       c.mem.ras.inject.read_disturb_rate = 0.01;
       c.mem.ras.scrub_interval_ns = 100.0;

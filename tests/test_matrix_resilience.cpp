@@ -91,13 +91,13 @@ TEST(MatrixResilience, PoisonedBenchmarkFailsAloneAndIsReported) {
 }
 
 TEST(MatrixResilience, ReplayPhaseExceptionIsRecordedPerCell) {
-  // retry_limit=99 fails controller validation inside replay — but only
-  // for device-backed schemes; the paper-model cell (no device) survives.
+  // A write-fail rate above 1 fails the fault injector's validation inside
+  // replay — but only for device-backed schemes; the paper-model cell (no
+  // device, no injector) survives.
   const std::vector<WorkloadProfile> profiles{small_profile("gcc")};
   const std::vector<Scheme> schemes{Scheme::kDcw, Scheme::kReadSaePaper};
   ExperimentConfig cfg = small_config(1);
-  cfg.fault.inject.write_fail_rate = 1e-4;
-  cfg.fault.retry_limit = 99;
+  cfg.fault.inject.write_fail_rate = 2.0;
   const ExperimentMatrix m = run_experiment(profiles, schemes, cfg);
 
   EXPECT_EQ(m.failed_cells(), 1u);
@@ -106,7 +106,30 @@ TEST(MatrixResilience, ReplayPhaseExceptionIsRecordedPerCell) {
   const ReplayResult* failure = m.first_failure();
   ASSERT_NE(failure, nullptr);
   EXPECT_EQ(failure->error->phase, "replay");
-  EXPECT_NE(failure->error->message.find("retry_limit"), std::string::npos);
+  EXPECT_NE(failure->error->message.find("fault rates"), std::string::npos);
+}
+
+TEST(MatrixResilience, RetryLimitPastTheBoundFailsBeforeCollecting) {
+  // A retry limit past kMaxRetryLimit, which no controller accepts, is
+  // refused before any benchmark is collected, paper-model cells (no
+  // controller) included, instead of failing every hardware cell after the
+  // whole collection.
+  const std::vector<WorkloadProfile> profiles{small_profile("gcc")};
+  const std::vector<Scheme> schemes{Scheme::kDcw, Scheme::kReadSaePaper};
+  ExperimentConfig cfg = small_config(1);
+  cfg.fault.inject.write_fail_rate = 1e-4;
+  cfg.fault.retry_limit = kMaxRetryLimit + 1;
+  std::ostringstream progress;
+  try {
+    (void)run_experiment(profiles, schemes, cfg, &progress);
+    FAIL() << "a retry limit past the bound was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("retry limit 17"), std::string::npos) << what;
+  }
+  EXPECT_EQ(progress.str(), "");  // nothing was collected
+  cfg.fault.retry_limit = kMaxRetryLimit;
+  EXPECT_EQ(run_experiment(profiles, schemes, cfg).failed_cells(), 0u);
 }
 
 TEST(MatrixResilience, SeededFaultSweepIsBitIdenticalAcrossJobs) {

@@ -131,7 +131,7 @@ void sweep_scheme(Scheme scheme, const ControllerConfig& config,
 
 TEST(PowerFailure, OldOrNewForEverySchemeAtEveryCutPoint) {
   ControllerConfig config;
-  config.verify.atomic_writes = true;
+  config.fault.atomic_writes = true;
   for (const Scheme scheme : paper_schemes()) {
     sweep_scheme(scheme, config, /*protect=*/false);
   }
@@ -142,9 +142,9 @@ TEST(PowerFailure, OldOrNewHoldsUnderVerifyAndSecded) {
   // SECDED check-cell refreshes and re-pulses all draw from the same
   // power budget.
   ControllerConfig config;
-  config.verify.atomic_writes = true;
-  config.verify.program_and_verify = true;
-  config.verify.protect_meta = true;
+  config.fault.atomic_writes = true;
+  config.fault.force_verify = true;
+  config.fault.protect_meta = true;
   sweep_scheme(Scheme::kReadSae, config, /*protect=*/true);
 }
 
@@ -221,8 +221,8 @@ TEST(PowerFailure, RecoveryScrubsSingleMetaFlip) {
                      return s;
                    }};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
-  config.verify.protect_meta = true;
+  config.fault.force_verify = true;
+  config.fault.protect_meta = true;
   FaultContext fault{device};
   Xoshiro256 rng{3};
   {
@@ -259,8 +259,8 @@ TEST(PowerFailure, RecoveryEscalatesSecdedDoubleErrorToRetirement) {
                      return s;
                    }};
   ControllerConfig config;
-  config.verify.program_and_verify = true;
-  config.verify.protect_meta = true;
+  config.fault.force_verify = true;
+  config.fault.protect_meta = true;
   FaultContext fault{device};
   Xoshiro256 rng{4};
   CacheLine last;

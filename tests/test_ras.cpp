@@ -80,6 +80,36 @@ TEST(FaultDomainTest, ChannelsDrawIndependentStreams) {
   EXPECT_TRUE(differ) << "channel salt did not separate the draw streams";
 }
 
+TEST(FaultDomainTest, ValidateBoundsTheRetryLimit) {
+  // Re-pulse r costs 2^(r-1) writes of bank time, so a ladder past the
+  // bound prices a write in astronomical time, and at 64 the shift count
+  // reaches the word width. The config is refused before any draw.
+  RasConfig cfg = base_config();
+  cfg.retry_limit = kMaxRetryLimit;
+  EXPECT_NO_THROW(cfg.validate());
+  for (const usize limit : {kMaxRetryLimit + 1, usize{63}, usize{64}}) {
+    cfg.retry_limit = limit;
+    try {
+      cfg.validate();
+      FAIL() << "retry limit " << limit << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("retry limit " + std::to_string(limit)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(kMaxRetryLimit)), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW((FaultDomain{cfg, 0}), std::invalid_argument);
+  }
+  // The controller's plan is held to the same bound.
+  FaultPlan plan;
+  plan.retry_limit = kMaxRetryLimit;
+  EXPECT_NO_THROW(plan.validate());
+  plan.retry_limit = kMaxRetryLimit + 1;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Escalation and retirement
 
@@ -87,8 +117,8 @@ TEST(FaultDomainTest, EscalationWalksSaferThenRetireThenSpare) {
   RasConfig cfg = base_config();
   cfg.inject.write_fail_rate = 1.0;  // every pulse fails
   cfg.retry_limit = 2;
-  cfg.safer_remap_limit = 2;
   cfg.spare_lines = 8;
+  static_assert(kSaferRemapLimit == 2);
   FaultDomain d{cfg, 0};
 
   const auto w1 = d.on_array_write(42, 1.0);
@@ -114,11 +144,16 @@ TEST(FaultDomainTest, RetirementIsIdempotentAcrossDemandAndScrub) {
   cfg.inject.read_disturb_rate = 1.0;  // every read disturbs
   cfg.inject.write_fail_rate = 1.0;
   cfg.retry_limit = 1;
-  cfg.safer_remap_limit = 0;  // writes escalate straight to retirement
   cfg.spare_lines = 4;
   cfg.degrade_ue_threshold = 100;
   FaultDomain d{cfg, 0};
 
+  // Spend the line's SAFER budget, so its next failed write escalates
+  // straight to retirement.
+  for (usize i = 0; i < kSaferRemapLimit; ++i) {
+    EXPECT_TRUE(d.on_array_write(7, 0.5).remapped);
+  }
+  EXPECT_EQ(d.stats().retired_lines, 0u);
   EXPECT_TRUE(d.on_demand_read(7, 1.0).disturbed);       // disturbs: 1
   const auto scrub = d.on_scrub_read(7, 2.0);            // disturbs: 2
   EXPECT_TRUE(scrub.uncorrectable);                      // -> retired
@@ -247,7 +282,7 @@ TEST(RasRemapTest, RemapsOntoSurvivorsPreservingRowOffset) {
     const u64 addr = pin_line_to_channel(org, rng.next() >> 12, 1);
     const u64 routed = ras_remap_line(org, addr, degraded);
     ASSERT_NE(channel_of_line(org, routed), 1u);
-    ASSERT_EQ(routed % org.row_bytes, addr % org.row_bytes);
+    ASSERT_EQ(routed % kRowBytes, addr % kRowBytes);
     ASSERT_EQ(ras_remap_line(org, addr, degraded), routed);  // stateless
     if (routed != addr) ++moved;
   }

@@ -94,7 +94,7 @@ TEST(ShardedLoadGenTest, PinningLandsOnTheHomeChannel) {
       const u64 pinned = pin_line_to_channel(org, addr, c);
       ASSERT_EQ(channel_of_line(org, pinned), c);
       // Within-row offset (spatial locality) is preserved.
-      ASSERT_EQ(pinned % org.row_bytes, addr % org.row_bytes);
+      ASSERT_EQ(pinned % kRowBytes, addr % kRowBytes);
     }
     // Pinning to the address's own channel is the identity.
     const usize home = channel_of_line(org, addr);

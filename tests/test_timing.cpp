@@ -10,22 +10,16 @@ namespace {
 MemOrg simple_org() {
   MemOrg org;
   org.channels = 1;
-  org.ranks = 1;
-  org.banks = 2;
-  org.row_bytes = 4096;
-  org.t_read_ns = 100;
-  org.t_write_ns = 150;
-  org.t_row_cycle_ns = 60;
-  org.t_bus_ns = 8;
   return org;
 }
 
+/// On one channel, row r lands on bank r % kBanks: this many bytes on,
+/// the same bank opens its next row.
+constexpr u64 kSameBankNextRow = kBanks * kRowBytes;
+
 TEST(MemOrg, Validation) {
   MemOrg bad = simple_org();
-  bad.banks = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = simple_org();
-  bad.row_bytes = 100;  // not line-aligned
+  bad.channels = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   EXPECT_NO_THROW(simple_org().validate());
 }
@@ -34,9 +28,10 @@ TEST(Timing, DecomposeInterleavesRowsAcrossBanks) {
   const MemOrg org = simple_org();
   const BankAddress a = decompose(org, 0);
   const BankAddress b = decompose(org, 4096);   // next row
-  const BankAddress c = decompose(org, 8192);   // row after
+  const BankAddress c = decompose(org, kSameBankNextRow);  // bank 0 again
   EXPECT_EQ(a.bank, 0u);
   EXPECT_EQ(b.bank, 1u);
+  EXPECT_EQ(decompose(org, 8192).bank, 2u);
   EXPECT_EQ(c.bank, 0u);
   EXPECT_EQ(c.row, a.row + 1);
   // Lines within one row share bank and row.
@@ -64,8 +59,8 @@ TEST(Timing, RowHitSkipsRowCycle) {
 TEST(Timing, RowConflictReopens) {
   MemoryTimingModel model{simple_org()};
   (void)model.access(0, MemOp::kRead, 0.0);
-  // Same bank (bank 0), different row: 2 rows ahead.
-  const double done = model.access(8192, MemOp::kRead, 1000.0);
+  // Same bank (bank 0), different row: kBanks rows ahead.
+  const double done = model.access(kSameBankNextRow, MemOp::kRead, 1000.0);
   EXPECT_DOUBLE_EQ(done, 1000 + 60 + 100 + 8);
   EXPECT_EQ(model.stats().row_misses, 2u);
 }
@@ -106,8 +101,8 @@ TEST(Timing, StatsCountEachAccessOnce) {
   (void)model.access(0, MemOp::kRead, 0.0);           // bank 0: miss
   (void)model.access(64, MemOp::kRead, 500.0);        // same row: hit
   (void)model.access(4096, MemOp::kWrite, 1000.0);    // bank 1: miss
-  (void)model.access(8192, MemOp::kWrite, 2000.0);    // bank 0: conflict
-  (void)model.access(8192 + 64, MemOp::kRead, 3000.0);  // same row: hit
+  (void)model.access(kSameBankNextRow, MemOp::kWrite, 2000.0);  // conflict
+  (void)model.access(kSameBankNextRow + 64, MemOp::kRead, 3000.0);  // hit
   const TimingStats& s = model.stats();
   EXPECT_EQ(s.reads, 3u);
   EXPECT_EQ(s.writes, 2u);
@@ -141,9 +136,9 @@ TEST(Timing, StatsMergeAddsEveryCounter) {
 
 TEST(Timing, BankFreeAtBoundsChecked) {
   MemoryTimingModel model{simple_org()};
-  EXPECT_THROW((void)model.bank_free_at(2), std::invalid_argument);
+  EXPECT_THROW((void)model.bank_free_at(kBanks), std::invalid_argument);
   EXPECT_EQ(model.bank_free_at(0), 0.0);
-  EXPECT_THROW(model.occupy_bank(2, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(model.occupy_bank(kBanks, 0.0, 1.0), std::invalid_argument);
   model.occupy_bank(1, 10.0, 5.0);
   EXPECT_EQ(model.bank_free_at(1), 15.0);
 }
@@ -185,20 +180,16 @@ TEST(PerfReplay, EmptyStream) {
 TEST(Timing, DecomposeRoundTripsAcrossChannels) {
   MemOrg org = simple_org();
   org.channels = 3;
-  org.ranks = 2;
-  org.banks = 4;
-  const usize banks_per_channel = org.ranks * org.banks;
   for (u64 line = 0; line < 5000; ++line) {
     const u64 addr = line * kLineBytes;
     const BankAddress where = decompose(org, addr);
     ASSERT_LT(where.channel, org.channels);
-    ASSERT_LT(where.bank, banks_per_channel);
+    ASSERT_LT(where.bank, kBanks);
     // Reconstruct the row id from its (channel, bank, row) digits: the
     // mapping must be a bijection on row ids.
-    const u64 row_id = addr / org.row_bytes;
+    const u64 row_id = addr / kRowBytes;
     const u64 rebuilt =
-        (where.row * banks_per_channel + where.bank) * org.channels +
-        where.channel;
+        (where.row * kBanks + where.bank) * org.channels + where.channel;
     EXPECT_EQ(rebuilt, row_id);
     // Lines within one row land on the same bank.
     EXPECT_EQ(decompose(org, addr + kLineBytes - 1).bank, where.bank);
@@ -213,7 +204,7 @@ TEST(Timing, RowOpenTracksTheRowBuffer) {
   EXPECT_TRUE(model.row_open(where.bank, where.row));
   EXPECT_FALSE(model.row_open(where.bank, where.row + 1));
   // A different row on the same bank evicts the open row.
-  const u64 far = 2 * 4096;  // rows interleave: same bank, next row
+  const u64 far = kSameBankNextRow;  // rows interleave: same bank, next row
   const BankAddress where2 = decompose(model.org(), far);
   ASSERT_EQ(where2.bank, where.bank);
   (void)model.access(far, MemOp::kRead, 1000.0);

@@ -164,6 +164,40 @@ TEST(CliFlags, NamedValuesRejectAnyOtherName) {
   EXPECT_GT(checked, 0U);
 }
 
+/// Every accepted name of `flag`, given in the first mode it applies to,
+/// sets the enumerator that `name_of` prints as that name.
+template <typename Field, typename NameOf>
+void expect_names_round_trip(const std::string& flag, Field field_of,
+                             NameOf name_of) {
+  const Flag& f = flag_named(flag);
+  ASSERT_EQ(f.value.kind, Kind::kName) << flag;
+  ASSERT_FALSE(f.value.names.empty()) << flag;
+  unsigned mi = 0;
+  while (!applies(f.modes, Mode(mi))) ++mi;
+  for (const std::string& name : f.value.names) {
+    std::vector<std::string> argv = mode_argv(Mode(mi));
+    argv.push_back("--" + flag + "=" + name);
+    EXPECT_EQ(std::string{name_of(field_of(parse_cli(argv)))}, name)
+        << joined(argv);
+  }
+}
+
+TEST(CliFlags, NamedValuesRoundTrip) {
+  expect_names_round_trip(
+      "format", [](const Cli& c) { return c.format; }, trace_format_name);
+  expect_names_round_trip(
+      "encode-model", [](const Cli& c) { return c.encode_model; },
+      encode_model_name);
+  expect_names_round_trip(
+      "pattern", [](const Cli& c) { return c.load.pattern; },
+      load_pattern_name);
+  expect_names_round_trip(
+      "wear-leveler", [](const Cli& c) { return c.mem.ras.lifetime.leveler; },
+      wear_leveler_name);
+  expect_names_round_trip(
+      "until", [](const Cli& c) { return c.aging.until; }, aging_until_name);
+}
+
 TEST(CliFlags, EveryFlagGivenTwiceIsRejected) {
   for (const Flag& f : flags()) {
     for (unsigned mi = 0; mi < kModeCount; ++mi) {
